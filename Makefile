@@ -3,7 +3,7 @@
 # their own.
 
 GO ?= go
-RACE_PKGS = ./internal/sched ./internal/transcode ./internal/cluster ./internal/codec ./internal/video
+RACE_PKGS = ./internal/sched ./internal/transcode ./internal/cluster ./internal/codec ./internal/video ./internal/lint ./internal/vcu
 
 .PHONY: check lint lint-json race build test fmt bench chaos fuzz overload autoscale audit
 
@@ -65,9 +65,13 @@ audit:
 	$(GO) test -race -v -run 'TestChunkChecksum' ./internal/container
 	$(GO) test -race -v -run 'TestEscapesVsAuditBudgetFrontier|TestAuditFrontierDeterministic' ./internal/fleetsim
 
-# Extended decoder fuzzing (the gate runs a 10s smoke).
+# Extended fuzzing of every parser of untrusted bytes: the decoder and
+# both container parsers (the gate runs 10s smokes of FuzzDecode and
+# FuzzOpenIndexed).
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=2m -run=NONE ./internal/codec
+	$(GO) test -fuzz=FuzzOpenIndexed -fuzztime=2m -run=NONE ./internal/container
+	$(GO) test -fuzz=FuzzReadAll -fuzztime=2m -run=NONE ./internal/container
 
 build:
 	$(GO) build ./...

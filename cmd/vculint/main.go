@@ -1,6 +1,8 @@
 // Command vculint runs the project's zero-dependency static-analysis
 // suite (internal/lint) over the module tree and exits non-zero when
-// any rule fires.
+// any rule fires. Every package, test files included, is type-checked
+// with go/types first (standard-library imports from the gc export
+// data); a type error is reported under the pseudo-rule "typecheck".
 //
 // Usage:
 //
@@ -11,7 +13,8 @@
 //	-json        emit diagnostics as a JSON array (machine-readable,
 //	             consumed by fleetsim/bench tooling and written to
 //	             lint_report.json by scripts/check.sh)
-//	-timing      include per-rule wall time; with -json the output
+//	-timing      include load (parse + type-check), summary and per-rule
+//	             wall time; with -json the output
 //	             becomes {"diagnostics": [...], "timing": {...}} so
 //	             scripts/check.sh can enforce the lint latency budget
 //	-rules a,b   run only the named analyzers
@@ -19,10 +22,9 @@
 //	-par N       analyze N packages concurrently (0 = GOMAXPROCS);
 //	             output is deterministic at any worker count
 //
-// Syntactic analyzers (PR 1): determinism, hotalloc, errdrop, bigcopy.
+// Expression-level analyzers: determinism, hotalloc, errdrop, bigcopy.
 //
-// Dataflow analyzers (PR 2, built on the type-aware layer in
-// internal/lint/dataflow.go):
+// Type-driven analyzers:
 //
 //	scratchshare  a *motion.Scratch / *predict.NeighborBuf parameter
 //	              must not escape the callee (stored, returned, sent,
@@ -41,10 +43,9 @@
 //	              transitive summary spawns an unjoined goroutine are
 //	              flagged at the call site
 //
-// Control-flow/call-graph analyzers (PR 3; PR 8 replaced the one-level
-// summaries with transitive fixed-point summaries over the SCC
-// condensation of the module call graph — see internal/lint/scc.go and
-// internal/lint/callgraph.go):
+// Control-flow/call-graph analyzers, on transitive fixed-point summaries
+// over the SCC condensation of the module call graph (see
+// internal/lint/scc.go and internal/lint/callgraph.go):
 //
 //	lockhygiene   path-sensitive: every acquired mutex is released on
 //	              every path to the exit (a defer only covers the paths
@@ -63,8 +64,7 @@
 //	              these through any chain of resolved callees, while a
 //	              mutex is held on some path
 //
-// Resource and capture analyzers (PR 8, built on the transitive
-// summaries):
+// Resource and capture analyzers, built on the transitive summaries:
 //
 //	closecheck    a local built by a constructor that returns a fresh
 //	              Closer-bearing type (codec.NewEncoder, vcu queues)

@@ -58,8 +58,6 @@ func gopSpans(gopLength, n int) []gopSpan {
 // Falls back to sequential encoding when the rate-control mode carries
 // cross-frame state, when there is only one GOP, or when Workers is 1 —
 // the fallback is always exact, never an approximation.
-//
-//lint:ignore bigcopy Config is copied once per sequence at setup, never per frame; keeping it by value preserves the public API
 func EncodeSequenceParallel(cfg Config, frames []*video.Frame) (*SequenceResult, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {

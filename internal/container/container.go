@@ -20,6 +20,9 @@ var Magic = [4]byte{'O', 'V', 'C', 'U'}
 
 const version = 1
 
+// headerSize is the length of the stream header; packets start here.
+const headerSize = 16
+
 // StreamInfo is the container-level stream header.
 type StreamInfo struct {
 	Profile       codec.Profile
@@ -111,6 +114,9 @@ type Reader struct {
 	r    io.Reader
 	info StreamInfo
 	read bool
+	// chunk, when set by ReadChunk, holds the bytes left in the chunk
+	// being read: no packet may claim more.
+	chunk *io.LimitedReader
 }
 
 // NewReader returns a Reader over r.
@@ -121,7 +127,7 @@ func (cr *Reader) ReadHeader() (StreamInfo, error) {
 	if cr.read {
 		return cr.info, nil
 	}
-	buf := make([]byte, 16)
+	buf := make([]byte, headerSize)
 	if _, err := io.ReadFull(cr.r, buf); err != nil {
 		return StreamInfo{}, fmt.Errorf("container: short header: %w", err)
 	}
@@ -166,12 +172,21 @@ func (cr *Reader) ReadPacket() (codec.Packet, error) {
 	if size > 1<<30 {
 		return codec.Packet{}, fmt.Errorf("container: implausible packet size %d", size)
 	}
+	if cr.chunk != nil && int64(size) > cr.chunk.N {
+		return codec.Packet{}, fmt.Errorf("container: packet of %d bytes overruns its chunk (%d left)", size, cr.chunk.N)
+	}
 	flags := hdr[4]
 	qp := int(hdr[5])
 	displayIdx := int(int32(binary.BigEndian.Uint32(hdr[6:10])))
 	wantCRC := binary.BigEndian.Uint32(hdr[10:14])
-	data := make([]byte, size)
-	if _, err := io.ReadFull(cr.r, data); err != nil {
+	// Allocation follows the bytes actually present, not the size
+	// field: a header claiming 1 GiB over a short stream costs what the
+	// stream holds.
+	data, err := io.ReadAll(io.LimitReader(cr.r, int64(size)))
+	if err == nil && len(data) != int(size) {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return codec.Packet{}, fmt.Errorf("container: truncated packet: %w", err)
 	}
 	if got := crc32.ChecksumIEEE(data); got != wantCRC {

@@ -188,7 +188,7 @@ func TestChunkIndexRandomAccess(t *testing.T) {
 
 // indexedTestStream writes a 3-chunk indexed container and returns its
 // bytes.
-func indexedTestStream(t *testing.T) []byte {
+func indexedTestStream(t testing.TB) []byte {
 	t.Helper()
 	frames := video.NewSource(video.SourceConfig{
 		Width: 64, Height: 64, Seed: 9, Detail: 0.5, Motion: 1}).Frames(9)

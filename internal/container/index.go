@@ -83,25 +83,37 @@ func OpenIndexed(r io.ReadSeeker) (*IndexedReader, error) {
 		return nil, fmt.Errorf("container: no chunk index footer")
 	}
 	count := int(binary.BigEndian.Uint32(tail[:4]))
+	// The entries are preceded by a 4-byte sentinel; packet data ends
+	// before it, and starts after the 16-byte stream header.
 	footerStart := fileEnd - 8 - int64(count)*16
-	if count < 0 || footerStart < 0 {
+	if footerStart-4 < headerSize {
 		return nil, fmt.Errorf("container: corrupt index (count %d)", count)
 	}
-	if _, err := r.Seek(footerStart, io.SeekStart); err != nil {
+	if _, err := r.Seek(footerStart-4, io.SeekStart); err != nil {
 		return nil, err
 	}
-	raw := make([]byte, count*16)
+	raw := make([]byte, 4+count*16)
 	if _, err := io.ReadFull(r, raw); err != nil {
 		return nil, err
 	}
-	// The entries are preceded by a 4-byte sentinel; packet data ends
-	// before it.
+	if [4]byte(raw[:4]) != indexMagic {
+		return nil, fmt.Errorf("container: corrupt index (no sentinel before %d entries)", count)
+	}
 	ir := &IndexedReader{r: r, info: info, end: footerStart - 4}
+	prev := int64(headerSize - 1)
 	for i := 0; i < count; i++ {
+		e := raw[4+i*16:]
+		off := int64(binary.BigEndian.Uint64(e))
+		// Chunks start strictly in stream order inside the packet data,
+		// so every chunk spans a non-empty byte range.
+		if off <= prev || off >= ir.end {
+			return nil, fmt.Errorf("container: corrupt index (chunk %d at offset %d, after %d, data ends at %d)", i, off, prev, ir.end)
+		}
+		prev = off
 		ir.entries = append(ir.entries, IndexEntry{
-			Offset:     int64(binary.BigEndian.Uint64(raw[i*16:])),
-			DisplayIdx: int(int32(binary.BigEndian.Uint32(raw[i*16+8:]))),
-			CRC:        binary.BigEndian.Uint32(raw[i*16+12:]),
+			Offset:     off,
+			DisplayIdx: int(int32(binary.BigEndian.Uint32(e[8:]))),
+			CRC:        binary.BigEndian.Uint32(e[12:]),
 		})
 	}
 	return ir, nil
@@ -129,10 +141,10 @@ func (ir *IndexedReader) ReadChunk(i int) ([]codec.Packet, error) {
 	if _, err := ir.r.Seek(start, io.SeekStart); err != nil {
 		return nil, err
 	}
-	lr := io.LimitReader(ir.r, end-start)
+	lr := &io.LimitedReader{R: ir.r, N: end - start}
 	var pkts []codec.Packet
 	var crc uint32
-	cr := &Reader{r: lr, read: true, info: ir.info}
+	cr := &Reader{r: lr, read: true, info: ir.info, chunk: lr}
 	for {
 		p, err := cr.ReadPacket()
 		if err == io.EOF {

@@ -206,6 +206,7 @@ func SLOVsFleetLoss(cfg FleetLossConfig) []FleetLossSample {
 		for i, a := range arr {
 			home := i % cfg.Clusters
 			g := cluster.BuildGraph(overloadSpec(a), 10)
+			//lint:ignore errdrop Submit fails only for an out-of-range home cluster; home = i % cfg.Clusters is always in range
 			r.Eng.Schedule(a.At, func() { _ = r.Submit(home, g) })
 		}
 		r.Eng.RunUntil(cfg.ArrivalWindow + cfg.DrainWindow)

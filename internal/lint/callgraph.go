@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
-	"strings"
 )
 
-// This file is the transitive interprocedural layer built on the symbol
-// index: every indexed function/method gets a summary — which lock
+// This file is the transitive interprocedural layer: every module
+// function/method with a body gets a summary — which lock
 // classes it may acquire or release (directly or through any chain of
 // resolved calls), whether it can block, what it does to each
 // *sync.WaitGroup parameter, whether a scratch- or Closer-typed
@@ -23,9 +23,9 @@ import (
 // terminates; a safety cap bounds pathological components, and a
 // function whose component hits the cap is reported under the
 // pseudo-rule "lintbudget" rather than silently skipped — its facts
-// remain sound under-approximations. An unresolved callee has no
-// summary and contributes nothing: resolution failure degrades to
-// silence, never invention.
+// remain sound under-approximations. Callees resolve through
+// types.Info.Uses to their *types.Func; a call of a function value or of
+// a function outside the module has no summary and contributes nothing.
 
 // sccIterationCap bounds fixed-point passes over one recursive
 // component. It is a package variable so tests can lower it to exercise
@@ -55,6 +55,14 @@ type summaryCall struct {
 	// is false and the callee is not variadic.
 	argNames []string
 	ellipsis bool
+}
+
+// funcDecl is one function or method declaration with its context.
+type funcDecl struct {
+	pkg  *Package
+	file *File
+	decl *ast.FuncDecl
+	fn   *types.Func
 }
 
 // funcSummary is the transitive interprocedural summary of one function.
@@ -135,22 +143,12 @@ type funcSummary struct {
 	capped bool
 }
 
-// callGraph caches summaries keyed like Index.funcDecls, plus the
+// callGraph caches summaries keyed by Index.funcKey, plus the
 // lintbudget diagnostics produced while building them.
 type callGraph struct {
+	idx       *Index
 	summaries map[string]*funcSummary
 	budget    []Diagnostic
-}
-
-// sortedFuncKeys returns the index's function keys in sorted order, so
-// everything derived from summaries is deterministic.
-func sortedFuncKeys(idx *Index) []string {
-	keys := make([]string, 0, len(idx.funcDecls))
-	for k := range idx.funcDecls {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // callGraph builds (once per Index) the transitive summary table.
@@ -162,11 +160,10 @@ func (idx *Index) callGraph() *callGraph {
 }
 
 // summaryWork keeps the per-function analysis context alive across
-// fixed-point passes: the scope, CFG and classifier are built once in
-// the direct phase and reused by every transfer.
+// fixed-point passes: the CFG and classifier are built once in the
+// direct phase and reused by every transfer.
 type summaryWork struct {
 	sum *funcSummary
-	sc  *funcScope
 	g   *cfg
 	cls *opClassifier
 	// returns are the function's return statements (function literals
@@ -189,29 +186,42 @@ type valueOrigin struct {
 // cgBuilder carries the whole-module build state.
 type cgBuilder struct {
 	idx         *Index
+	cg          *callGraph
 	summaries   map[string]*funcSummary
 	works       []*summaryWork
 	closerTypes map[string]bool
 }
 
 func buildCallGraph(idx *Index) *callGraph {
-	b := &cgBuilder{
-		idx:         idx,
-		summaries:   map[string]*funcSummary{},
-		closerTypes: collectCloserTypes(idx),
-	}
+	cg := &callGraph{idx: idx, summaries: map[string]*funcSummary{}}
+	b := &cgBuilder{idx: idx, cg: cg, summaries: cg.summaries, closerTypes: collectCloserTypes(idx)}
 
-	// Direct phase: one summary per function from its own body.
-	for _, key := range sortedFuncKeys(idx) {
-		// Multiple declarations of one key (build-tag twins) keep the
-		// first, consistent with funcResultTypes.
-		fd := idx.funcDecls[key][0]
-		if fd.decl.Body == nil {
-			continue
+	// One node per function with a body, registered before any body is
+	// analyzed so the pool-worker check can look up sibling methods.
+	// Several declarations of one key (init functions) keep the first.
+	var keys []string
+	for _, pkg := range idx.pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.AST.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
+				key := idx.funcKey(fn)
+				if key == "" || cg.summaries[key] != nil {
+					continue
+				}
+				cg.summaries[key] = &funcSummary{key: key, fd: &funcDecl{pkg: pkg, file: f, decl: fd, fn: fn}}
+				keys = append(keys, key)
+			}
 		}
-		w := b.directSummary(key, fd)
-		b.summaries[key] = w.sum
-		b.works = append(b.works, w)
+	}
+	sort.Strings(keys)
+
+	// Direct phase: each summary's facts from its own body.
+	for _, key := range keys {
+		b.works = append(b.works, b.directSummary(cg.summaries[key]))
 	}
 
 	// Condense the call graph and propagate bottom-up: Tarjan emits
@@ -235,7 +245,6 @@ func buildCallGraph(idx *Index) *callGraph {
 		}
 	}
 
-	cg := &callGraph{summaries: b.summaries}
 	for _, comp := range g.condense() {
 		// An acyclic node's callees are all final by reverse-topological
 		// order: a single transfer pass reaches its fixed point, and the
@@ -275,34 +284,31 @@ func buildCallGraph(idx *Index) *callGraph {
 		for _, i := range comp {
 			sum := b.works[i].sum
 			sum.capped = true
-			p := sum.fd.file.Fset.Position(sum.fd.decl.Pos())
-			cg.budget = append(cg.budget, Diagnostic{
-				Rule: "lintbudget",
-				Message: fmt.Sprintf(
-					"summary for %s hit the fixed-point iteration cap (%d passes) in a recursive call cycle; interprocedural facts for it may be incomplete",
-					lockClassDisplay(sum.key), sccIterationCap),
-				Pos:  p,
-				File: p.Filename,
-				Line: p.Line,
-				Col:  p.Column,
-			})
+			cg.budget = append(cg.budget, diagnostic("lintbudget", fmt.Sprintf(
+				"summary for %s hit the fixed-point iteration cap (%d passes) in a recursive call cycle; interprocedural facts for it may be incomplete",
+				lockClassDisplay(sum.key), sccIterationCap), idx.fset.Position(sum.fd.decl.Pos())))
 		}
 	}
 	return cg
 }
 
-// collectCloserTypes finds every module named type with a Close method:
-// funcDecls keys of the form "dir.Type.Close" whose "dir.Type" is a
-// declared type.
+// collectCloserTypes finds every package-level module named type that
+// declares a Close method.
 func collectCloserTypes(idx *Index) map[string]bool {
 	out := map[string]bool{}
-	for key := range idx.funcDecls {
-		typeName, ok := strings.CutSuffix(key, ".Close")
-		if !ok {
-			continue
-		}
-		if _, declared := idx.typeDecls[typeName]; declared {
-			out[typeName] = true
+	for _, p := range idx.pkgs {
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			n, ok := scope.Lookup(name).Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			for i := 0; i < n.NumMethods(); i++ {
+				if n.Method(i).Name() == "Close" {
+					key, _ := idx.namedKey(n)
+					out[key] = true
+				}
+			}
 		}
 	}
 	return out
@@ -310,24 +316,20 @@ func collectCloserTypes(idx *Index) map[string]bool {
 
 // directSummary computes the one-body facts of a function and retains
 // the analysis context for the propagation phase.
-func (b *cgBuilder) directSummary(key string, fd *funcDecl) *summaryWork {
-	idx := b.idx
-	sum := &funcSummary{
-		key:           key,
-		fd:            fd,
-		acquires:      map[string]token.Pos{},
-		acquiresVia:   map[string]string{},
-		releases:      map[string]bool{},
-		wgParams:      map[int]wgParamFact{},
-		scratchParams: map[int]string{},
-		closerParams:  map[int]string{},
-		paramEscapes:  map[int]string{},
-		closesParams:  map[int]bool{},
-	}
-	sc := newFuncScope(idx, fd.file, fd.pkg.Dir, fd.decl)
+func (b *cgBuilder) directSummary(sum *funcSummary) *summaryWork {
+	idx, fd := b.idx, sum.fd
+	sum.acquires = map[string]token.Pos{}
+	sum.acquiresVia = map[string]string{}
+	sum.releases = map[string]bool{}
+	sum.wgParams = map[int]wgParamFact{}
+	sum.scratchParams = map[int]string{}
+	sum.closerParams = map[int]string{}
+	sum.paramEscapes = map[int]string{}
+	sum.closesParams = map[int]bool{}
+	info := fd.pkg.Info
 	g := buildCFG(fd.decl.Body)
-	cls := &opClassifier{sc: sc, idx: idx, f: fd.file, dir: fd.pkg.Dir, resolveCalls: true}
-	w := &summaryWork{sum: sum, sc: sc, g: g, cls: cls}
+	cls := &opClassifier{idx: idx, info: info, resolveCalls: true}
+	w := &summaryWork{sum: sum, g: g, cls: cls}
 
 	ops := collectLockOps(g, cls)
 	for _, blockOps := range ops {
@@ -371,53 +373,35 @@ func (b *cgBuilder) directSummary(key string, fd *funcDecl) *summaryWork {
 	})
 
 	// Parameter facts.
-	for _, field := range fd.decl.Type.Params.List {
-		if _, isEll := field.Type.(*ast.Ellipsis); isEll {
-			sum.variadic = true
+	sig := fd.fn.Signature()
+	sum.variadic = sig.Variadic()
+	sum.paramCount = sig.Params().Len()
+	for p := 0; p < sum.paramCount; p++ {
+		v := sig.Params().At(p)
+		pname := v.Name()
+		if pname == "_" {
+			pname = ""
 		}
-		t := idx.resolveType(field.Type, fd.file, fd.pkg.Dir)
-		isWG := t.isPtrTo("sync.WaitGroup")
-		scratchName, closerName := "", ""
-		if t != nil && t.kind == kindPointer && t.elem != nil && t.elem.kind == kindNamed {
-			if scratchTypes[t.elem.name] {
-				scratchName = t.elem.name
-			} else if b.closerTypes[t.elem.name] {
-				closerName = t.elem.name
-			}
-		}
-		names := field.Names
-		if len(names) == 0 {
-			sum.paramNames = append(sum.paramNames, "")
-			sum.paramCount++
+		sum.paramNames = append(sum.paramNames, pname)
+		if pname == "" {
 			continue
 		}
-		for _, name := range names {
-			p := sum.paramCount
-			pname := name.Name
-			if pname == "_" {
-				pname = ""
+		key := idx.ptrToKey(v.Type())
+		switch {
+		case key == "sync.WaitGroup":
+			sum.wgParams[p] = wgParamFact{
+				name:       pname,
+				doneEver:   nodeCallsMethodOn(fd.decl.Body, pname, "Done"),
+				doneAlways: g.mustExecuteAtExit(func(n ast.Node) bool { return nodeCallsMethodOn(n, pname, "Done") }),
+				addsInside: nodeCallsMethodOn(fd.decl.Body, pname, "Add"),
 			}
-			sum.paramNames = append(sum.paramNames, pname)
-			if pname != "" {
-				if isWG {
-					sum.wgParams[p] = wgParamFact{
-						name:       pname,
-						doneEver:   nodeCallsMethodOn(fd.decl.Body, pname, "Done"),
-						doneAlways: g.mustExecuteAtExit(func(n ast.Node) bool { return nodeCallsMethodOn(n, pname, "Done") }),
-						addsInside: nodeCallsMethodOn(fd.decl.Body, pname, "Add"),
-					}
-				}
-				if scratchName != "" {
-					sum.scratchParams[p] = scratchName
-				}
-				if closerName != "" {
-					sum.closerParams[p] = closerName
-				}
-				if (scratchName != "" || closerName != "") && paramEscapes(fd.decl.Body, pname) {
-					sum.paramEscapes[p] = ""
-				}
-			}
-			sum.paramCount++
+		case scratchTypes[key]:
+			sum.scratchParams[p] = key
+		case b.closerTypes[key]:
+			sum.closerParams[p] = key
+		}
+		if (scratchTypes[key] || b.closerTypes[key]) && paramEscapes(fd.decl.Body, pname) {
+			sum.paramEscapes[p] = ""
 		}
 	}
 	for p := range sum.scratchParams {
@@ -429,13 +413,13 @@ func (b *cgBuilder) directSummary(key string, fd *funcDecl) *summaryWork {
 	// Direct spawn fact: a go statement not joined in this body, unless
 	// suppressed with //lint:ignore goleak (an annotated spawn is a
 	// declared ownership transfer and must not taint callers).
-	waited, received := collectJoins(sc, fd.decl.Body)
+	waited, received := collectJoins(info, fd.decl.Body)
 	ast.Inspect(fd.decl.Body, func(n ast.Node) bool {
 		gs, ok := n.(*ast.GoStmt)
 		if !ok || sum.spawnsUnjoined {
 			return !sum.spawnsUnjoined
 		}
-		if goStmtJoined(idx, sc, waited, received, gs) {
+		if goStmtJoined(b.cg, info, waited, received, gs) {
 			return true
 		}
 		line := fd.file.Fset.Position(gs.Pos()).Line
@@ -458,7 +442,7 @@ func (b *cgBuilder) directSummary(key string, fd *funcDecl) *summaryWork {
 		}
 		return true
 	})
-	sum.closerResults = make([]bool, resultCount(fd.decl.Type))
+	sum.closerResults = make([]bool, sig.Results().Len())
 	return w
 }
 
@@ -533,10 +517,7 @@ func collectOrigins(body *ast.BlockStmt, cls *opClassifier) map[string]*valueOri
 		switch x := e.(type) {
 		case *ast.CallExpr:
 			if isNewCall(x) {
-				if t := cls.sc.typeOf(x); t != nil && t.kind == kindPointer && t.elem != nil && t.elem.kind == kindNamed {
-					return &valueOrigin{fresh: true, typeName: t.elem.name}
-				}
-				return &valueOrigin{}
+				return &valueOrigin{fresh: true, typeName: cls.idx.ptrToKey(cls.info.TypeOf(x))}
 			}
 			if k := cls.calleeKey(x); k != "" {
 				return &valueOrigin{callKey: k, resultPos: resultPos}
@@ -544,9 +525,7 @@ func collectOrigins(body *ast.BlockStmt, cls *opClassifier) map[string]*valueOri
 		case *ast.UnaryExpr:
 			if x.Op == token.AND {
 				if _, isLit := x.X.(*ast.CompositeLit); isLit {
-					if t := cls.sc.typeOf(x); t != nil && t.kind == kindPointer && t.elem != nil && t.elem.kind == kindNamed {
-						return &valueOrigin{fresh: true, typeName: t.elem.name}
-					}
+					return &valueOrigin{fresh: true, typeName: cls.idx.ptrToKey(cls.info.TypeOf(x))}
 				}
 			}
 		}
@@ -606,22 +585,6 @@ func collectOrigins(body *ast.BlockStmt, cls *opClassifier) map[string]*valueOri
 func isNewCall(call *ast.CallExpr) bool {
 	id, ok := call.Fun.(*ast.Ident)
 	return ok && id.Name == "new" && len(call.Args) == 1
-}
-
-// resultCount expands a function type's result list to positions.
-func resultCount(ft *ast.FuncType) int {
-	if ft.Results == nil {
-		return 0
-	}
-	n := 0
-	for _, field := range ft.Results.List {
-		k := len(field.Names)
-		if k == 0 {
-			k = 1
-		}
-		n += k
-	}
-	return n
 }
 
 // viaChain prefixes a callee onto an existing chain for display:
@@ -949,15 +912,13 @@ func (b *cgBuilder) ownedCloserExpr(w *summaryWork, e ast.Expr) bool {
 // freshCloserType reports whether the constructed value is a pointer to
 // a module Closer type.
 func (b *cgBuilder) freshCloserType(w *summaryWork, e ast.Expr) bool {
-	t := w.sc.typeOf(e)
-	return t != nil && t.kind == kindPointer && t.elem != nil &&
-		t.elem.kind == kindNamed && b.closerTypes[t.elem.name]
+	return b.closerTypes[b.idx.ptrToKey(w.cls.info.TypeOf(e))]
 }
 
 // collectJoins gathers the join handles of a function body: canonical
 // receivers of .Wait() calls, and canonical channels received from
 // (<-ch, range ch). Shared by goleak and the spawn summary.
-func collectJoins(sc *funcScope, body *ast.BlockStmt) (waited, received map[string]bool) {
+func collectJoins(info *types.Info, body *ast.BlockStmt) (waited, received map[string]bool) {
 	waited = map[string]bool{}
 	received = map[string]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -973,8 +934,7 @@ func collectJoins(sc *funcScope, body *ast.BlockStmt) (waited, received map[stri
 				}
 			}
 		case *ast.RangeStmt:
-			t := sc.typeOf(x.X)
-			if t != nil && t.kind == kindChan {
+			if isChan(info.TypeOf(x.X)) {
 				if s := exprString(x.X); s != "" {
 					received[s] = true
 				}
@@ -989,7 +949,7 @@ func collectJoins(sc *funcScope, body *ast.BlockStmt) (waited, received map[stri
 // the spawning function: it Dones a waited WaitGroup or sends/closes a
 // received channel, is handed a joined handle as an argument, or is the
 // recognized pool-worker idiom. Shared by goleak and the spawn summary.
-func goStmtJoined(idx *Index, sc *funcScope, waited, received map[string]bool, g *ast.GoStmt) bool {
+func goStmtJoined(cg *callGraph, info *types.Info, waited, received map[string]bool, g *ast.GoStmt) bool {
 	joins := func(name string) bool { return waited[name] || received[name] }
 	if lit, isLit := g.Call.Fun.(*ast.FuncLit); isLit {
 		joined := false
@@ -1030,7 +990,7 @@ func goStmtJoined(idx *Index, sc *funcScope, waited, received map[string]bool, g
 			return true
 		}
 	}
-	return poolWorkerJoined(idx, sc, g.Call)
+	return poolWorkerJoined(cg, info, g.Call)
 }
 
 // nodeCallsMethodOn reports whether n contains a call recv.method(...)

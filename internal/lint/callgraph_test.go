@@ -1,24 +1,18 @@
 package lint
 
 import (
-	"go/token"
 	"path/filepath"
 	"testing"
 )
 
-// loadTestIndex builds the symbol index over the fixture tree.
+// loadTestIndex loads and type-checks the fixture tree.
 func loadTestIndex(t *testing.T) *Index {
 	t.Helper()
 	root, err := filepath.Abs("testdata/src")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fset := token.NewFileSet()
-	pkgs, _, err := loadPackages(fset, root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return buildIndex(pkgs)
+	return loadTree(t, root)
 }
 
 // TestCallGraphSummaries pins the one-level facts the CFG-layer rules

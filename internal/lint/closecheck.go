@@ -44,7 +44,7 @@ func runCloseCheck(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkCloseCheck(pass, cg, f, fd)
+			checkCloseCheck(pass, cg, fd)
 		}
 	}
 }
@@ -61,9 +61,8 @@ type closeCandidate struct {
 	typeName string   // closer type display name ("" when untraceable)
 }
 
-func checkCloseCheck(pass *Pass, cg *callGraph, f *File, fd *ast.FuncDecl) {
-	sc := newFuncScope(pass.Index, f, pass.Pkg.Dir, fd)
-	cls := &opClassifier{sc: sc, idx: pass.Index, f: f, dir: pass.Pkg.Dir, resolveCalls: true}
+func checkCloseCheck(pass *Pass, cg *callGraph, fd *ast.FuncDecl) {
+	cls := &opClassifier{idx: pass.Index, info: pass.Info, resolveCalls: true}
 
 	// Pass 1: count assignments per name (any reassignment degrades the
 	// candidate to silence — the analysis tracks single-assignment locals
@@ -111,7 +110,7 @@ func checkCloseCheck(pass *Pass, cg *callGraph, f *File, fd *ast.FuncDecl) {
 				pos:      id.Pos(),
 				assign:   ast.Node(st),
 				from:     lockClassDisplay(key),
-				typeName: closerResultDisplay(pass.Index, key, i),
+				typeName: closerResultDisplay(pass.Index, sum, i),
 			})
 		}
 		return true
@@ -132,19 +131,11 @@ func checkCloseCheck(pass *Pass, cg *callGraph, f *File, fd *ast.FuncDecl) {
 	}
 }
 
-// closerResultDisplay resolves the display name of the closer type at
-// result position i of the callee ("codec.Encoder"), or "" when the
-// declared result type cannot be traced (pass-through constructors).
-func closerResultDisplay(idx *Index, key string, i int) string {
-	rs := idx.funcResultTypes(key)
-	if i >= len(rs) || rs[i] == nil {
-		return ""
-	}
-	t := rs[i].deref()
-	if t == nil || t.kind != kindNamed {
-		return ""
-	}
-	return lockClassDisplay(t.name)
+// closerResultDisplay renders the declared type at result position i
+// of the callee ("codec.Encoder"), or "" when it is not a named type.
+func closerResultDisplay(idx *Index, sum *funcSummary, i int) string {
+	key, _ := idx.namedKey(deref(sum.fd.fn.Signature().Results().At(i).Type()))
+	return lockClassDisplay(key)
 }
 
 // closeObligationEscapes reports whether the candidate's ownership

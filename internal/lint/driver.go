@@ -3,10 +3,15 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
+	"path"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -45,7 +50,7 @@ var skipDirNames = map[string]bool{
 // lint_report.json by `vculint -timing` so scripts/check.sh can hold
 // the lint suite to its latency budget.
 type Timing struct {
-	// LoadMS covers parsing the module and building the symbol index.
+	// LoadMS covers parsing and type-checking the module.
 	LoadMS float64 `json:"load_ms"`
 	// SummaryMS covers building the transitive call-graph summaries
 	// (the SCC fixed point), which runs once up front so the parallel
@@ -75,12 +80,10 @@ func RunReport(cfg Config) ([]Diagnostic, *Timing, error) {
 	if analyzers == nil {
 		analyzers = All()
 	}
-	fset := token.NewFileSet()
-	pkgs, parseDiags, err := loadPackages(fset, cfg.Root)
+	idx, loadDiags, err := load(cfg.Root)
 	if err != nil {
 		return nil, nil, err
 	}
-	idx := buildIndex(pkgs)
 	timing.LoadMS = msSince(start)
 	for _, a := range analyzers {
 		timing.RulesMS[a.Name] += 0 // every configured rule appears in the report
@@ -99,11 +102,10 @@ func RunReport(cfg Config) ([]Diagnostic, *Timing, error) {
 		}
 	}
 
-	diags := parseDiags
-	diags = append(diags, cg.budget...)
+	diags := append(loadDiags, cg.budget...)
 
 	var work []*Package
-	for _, pkg := range pkgs {
+	for _, pkg := range idx.pkgs {
 		if cfg.Dirs != nil && !dirMatchesAny(pkg.Dir, cfg.Dirs) {
 			continue
 		}
@@ -134,7 +136,8 @@ func RunReport(cfg Config) ([]Diagnostic, *Timing, error) {
 				res := &results[i]
 				res.ruleMS = map[string]float64{}
 				for _, a := range analyzers {
-					pass := &Pass{Pkg: work[i], Index: idx, analyzer: a, fset: fset, diags: &res.diags}
+					pkg := work[i]
+					pass := &Pass{Pkg: pkg, Index: idx, Types: pkg.Types, Info: pkg.Info, analyzer: a, fset: idx.fset, diags: &res.diags}
 					ruleStart := time.Now()
 					a.Run(pass)
 					res.ruleMS[a.Name] += msSince(ruleStart)
@@ -156,9 +159,9 @@ func RunReport(cfg Config) ([]Diagnostic, *Timing, error) {
 		}
 	}
 
-	diags = applySuppressions(cfg.Root, pkgs, diags)
-	// The whole module is always loaded (the cross-package index needs
-	// it), so pseudo-rule diagnostics emitted during loading (parse,
+	diags = applySuppressions(idx.pkgs, diags)
+	// The whole module is always loaded (type-checking needs it), so
+	// pseudo-rule diagnostics emitted during loading (parse, typecheck,
 	// lintdirective) must be filtered down to the requested subtree too.
 	if cfg.Dirs != nil {
 		kept := diags[:0]
@@ -195,11 +198,159 @@ func msSince(t time.Time) float64 {
 	return float64(time.Since(t)) / float64(time.Millisecond)
 }
 
-// loadPackages walks root collecting and parsing every .go file,
-// grouped by (directory, package name). Unparsable files become
-// diagnostics under the pseudo-rule "parse" rather than aborting the
-// run, so one broken file does not hide findings elsewhere.
-func loadPackages(fset *token.FileSet, root string) ([]*Package, []Diagnostic, error) {
+// load parses and type-checks every Go package under root and returns
+// the module index over them. Unparsable files and type errors become
+// diagnostics under the pseudo-rules "parse" and "typecheck" rather
+// than aborting the run, so one broken file does not hide findings
+// elsewhere, and a package the checker could not fully type is
+// reported rather than silently analyzed less.
+func load(root string) (*Index, []Diagnostic, error) {
+	fset := token.NewFileSet()
+	pkgs, diags, err := parsePackages(fset, root)
+	if err != nil {
+		return nil, nil, err
+	}
+	idx := &Index{fset: fset, modPath: modulePath(root), pkgs: pkgs, byTypes: map[*types.Package]*Package{}}
+	c := &checker{idx: idx, byPath: map[string]*Package{}}
+	for _, p := range pkgs {
+		if _, dup := c.byPath[idx.importPath(p.Dir)]; !dup && !p.externalTest() {
+			c.byPath[idx.importPath(p.Dir)] = p
+		}
+	}
+	c.std = exportImporter(fset, root, c.byPath, pkgs)
+	c.conf = types.Config{
+		Importer: c,
+		Sizes:    gcSizes,
+		Error: func(err error) {
+			te := err.(types.Error)
+			diags = append(diags, diagnostic("typecheck", te.Msg, te.Fset.Position(te.Pos)))
+		},
+	}
+	for _, p := range pkgs {
+		c.check(p)
+		idx.byTypes[p.Types] = p
+	}
+	return idx, diags, nil
+}
+
+// gcSizes is the memory layout the rules reason about (bigcopy sizes,
+// integer widths): the gc toolchain on amd64.
+var gcSizes = types.SizesFor("gc", "amd64")
+
+// checker type-checks module packages on demand: importing a module
+// package checks it first, so every package is checked once, after its
+// dependencies, whatever order the walk found them in.
+type checker struct {
+	idx    *Index
+	byPath map[string]*Package // importable module packages
+	std    types.Importer      // everything outside the module
+	conf   types.Config
+}
+
+// Import resolves a module import to its checked package and anything
+// else through the gc export data.
+func (c *checker) Import(path string) (*types.Package, error) {
+	p := c.byPath[path]
+	if p == nil {
+		return c.std.Import(path)
+	}
+	c.check(p)
+	if p.Types == nil {
+		return nil, fmt.Errorf("import cycle through %s", path)
+	}
+	return p.Types, nil
+}
+
+// check type-checks p once. Info is set before checking starts, so a
+// re-entrant import of p (a cycle) finds Types still nil.
+func (c *checker) check(p *Package) {
+	if p.Info != nil {
+		return
+	}
+	p.Info = &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	files := make([]*ast.File, len(p.Files))
+	for i, f := range p.Files {
+		files[i] = f.AST
+	}
+	pkgPath := c.idx.importPath(p.Dir)
+	if c.byPath[pkgPath] != p {
+		pkgPath += "_test"
+	}
+	// Check always returns a package; its errors went to conf.Error.
+	p.Types, _ = c.conf.Check(pkgPath, c.idx.fset, files, p.Info)
+}
+
+// exportImporter returns the gc importer for every import outside the
+// module. It locates the export data of all of them with one
+// `go list -export` run, where the importer's default lookup would run
+// one per package. An import go list cannot build has no entry, and
+// importing it fails with a typecheck diagnostic.
+func exportImporter(fset *token.FileSet, root string, module map[string]*Package, pkgs []*Package) types.Importer {
+	seen := map[string]bool{}
+	args := []string{"list", "-e", "-export", "-f", "{{.ImportPath}} {{.Export}}"}
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, imp := range f.AST.Imports {
+				path, err := strconv.Unquote(imp.Path.Value)
+				if err == nil && module[path] == nil && !seen[path] {
+					seen[path] = true
+					args = append(args, path)
+				}
+			}
+		}
+	}
+	exports := map[string]string{}
+	if len(seen) > 0 {
+		cmd := exec.Command("go", args...)
+		cmd.Dir = root
+		out, _ := cmd.Output() // packages it could not list are missing below
+		for _, line := range strings.Split(string(out), "\n") {
+			if path, file, ok := strings.Cut(line, " "); ok && file != "" {
+				exports[path] = file
+			}
+		}
+	}
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("go list found no export data for %q", path)
+		}
+		return os.Open(file)
+	})
+}
+
+// modulePath reads the module path from root/go.mod; "" when the tree
+// has no go.mod, in which case a package's import path is its
+// directory.
+func modulePath(root string) string {
+	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
+			return strings.Trim(f[1], `"`)
+		}
+	}
+	return ""
+}
+
+// importPath is the import path of the module package in dir.
+func (idx *Index) importPath(dir string) string {
+	if dir == "." && idx.modPath != "" {
+		return idx.modPath
+	}
+	return path.Join(idx.modPath, dir)
+}
+
+// parsePackages walks root collecting and parsing every .go file,
+// grouped by (directory, package name).
+func parsePackages(fset *token.FileSet, root string) ([]*Package, []Diagnostic, error) {
 	byKey := map[string]*Package{}
 	var parseDiags []Diagnostic
 
@@ -223,13 +374,7 @@ func loadPackages(fset *token.FileSet, root string) ([]*Package, []Diagnostic, e
 		rel = filepath.ToSlash(rel)
 		astFile, parseErr := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if parseErr != nil {
-			parseDiags = append(parseDiags, Diagnostic{
-				Rule:    "parse",
-				Message: parseErr.Error(),
-				File:    path,
-				Line:    1,
-				Col:     1,
-			})
+			parseDiags = append(parseDiags, diagnostic("parse", parseErr.Error(), token.Position{Filename: path, Line: 1, Column: 1}))
 			return nil
 		}
 		dir := filepath.ToSlash(filepath.Dir(rel))
@@ -248,7 +393,6 @@ func loadPackages(fset *token.FileSet, root string) ([]*Package, []Diagnostic, e
 			AST:     astFile,
 			Fset:    fset,
 			IsTest:  strings.HasSuffix(d.Name(), "_test.go"),
-			imports: importAliases(astFile),
 			ignores: map[int]map[string]bool{},
 		}
 		collectIgnores(fset, astFile, f.ignores, &parseDiags)
@@ -273,36 +417,11 @@ func loadPackages(fset *token.FileSet, root string) ([]*Package, []Diagnostic, e
 	return pkgs, parseDiags, nil
 }
 
-// importAliases maps local import name -> import path for one file.
-func importAliases(f *ast.File) map[string]string {
-	m := map[string]string{}
-	for _, imp := range f.Imports {
-		path, err := strconv.Unquote(imp.Path.Value)
-		if err != nil {
-			continue
-		}
-		name := ""
-		if imp.Name != nil {
-			name = imp.Name.Name
-		} else {
-			// Default name: last path element (good enough for the
-			// stdlib and this module; packages whose name differs from
-			// their directory must be imported with an explicit alias
-			// to be tracked).
-			name = path[strings.LastIndex(path, "/")+1:]
-		}
-		if name == "_" {
-			continue
-		}
-		m[name] = path
-	}
-	return m
-}
-
 // pseudoRules are diagnostic sources that are not registered analyzers
 // but are still valid in //lint:ignore directives.
 var pseudoRules = map[string]bool{
 	"parse":         true,
+	"typecheck":     true,
 	"lintdirective": true,
 	"lintbudget":    true,
 	"*":             true,
@@ -332,26 +451,12 @@ func collectIgnores(fset *token.FileSet, f *ast.File, ignores map[int]map[string
 			pos := fset.Position(c.Pos())
 			fields := strings.Fields(text)
 			if len(fields) < 2 {
-				*diags = append(*diags, Diagnostic{
-					Rule:    "lintdirective",
-					Message: "malformed //lint:ignore: want \"//lint:ignore <rule> <reason>\"",
-					Pos:     pos,
-					File:    pos.Filename,
-					Line:    pos.Line,
-					Col:     pos.Column,
-				})
+				*diags = append(*diags, diagnostic("lintdirective", "malformed //lint:ignore: want \"//lint:ignore <rule> <reason>\"", pos))
 				continue
 			}
 			for _, rule := range strings.Split(fields[0], ",") {
 				if !knownRule(rule) {
-					*diags = append(*diags, Diagnostic{
-						Rule:    "lintdirective",
-						Message: fmt.Sprintf("unknown rule %q in //lint:ignore directive", rule),
-						Pos:     pos,
-						File:    pos.Filename,
-						Line:    pos.Line,
-						Col:     pos.Column,
-					})
+					*diags = append(*diags, diagnostic("lintdirective", fmt.Sprintf("unknown rule %q in //lint:ignore directive", rule), pos))
 					continue
 				}
 				for _, line := range []int{pos.Line, pos.Line + 1} {
@@ -370,7 +475,7 @@ func collectIgnores(fset *token.FileSet, f *ast.File, ignores map[int]map[string
 // applySuppressions drops diagnostics silenced by //lint:ignore
 // directives. Matching is by absolute file path as recorded in the
 // FileSet, so it works for any Root.
-func applySuppressions(root string, pkgs []*Package, diags []Diagnostic) []Diagnostic {
+func applySuppressions(pkgs []*Package, diags []Diagnostic) []Diagnostic {
 	// abs file path -> line -> suppressed rules
 	byFile := map[string]map[int]map[string]bool{}
 	for _, pkg := range pkgs {

@@ -2,25 +2,25 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 )
 
-// wellKnownErrFuncs are stdlib method/function names whose error result
-// is worth checking even though their declarations are outside this
-// module. They apply to package-qualified stdlib calls (os.Remove), to
-// receivers known to be *os.File, and — when the name is not declared
-// anywhere in this module — to any receiver.
-var wellKnownErrFuncs = map[string]bool{
-	"Close": true, "Flush": true, "Sync": true,
-	"WriteString": true, "WriteByte": true, "WriteRune": true,
-	"Setenv": true, "Unsetenv": true,
-	"Remove": true, "RemoveAll": true, "Mkdir": true, "MkdirAll": true,
-	"Chdir": true, "Rename": true, "Truncate": true,
-}
-
-// osFileCtors are os functions whose result binds an ident to *os.File.
-var osFileCtors = map[string]bool{
-	"Open": true, "Create": true, "OpenFile": true, "NewFile": true,
-	"CreateTemp": true,
+// stdlibErrCalls are the standard-library functions and methods, by
+// types.Func.FullName, whose error result is worth checking even though
+// they are declared outside this module: filesystem mutations, the
+// environment, and closing, syncing or flushing written data.
+var stdlibErrCalls = map[string]bool{
+	"os.Remove": true, "os.RemoveAll": true, "os.Mkdir": true, "os.MkdirAll": true,
+	"os.Chdir": true, "os.Rename": true, "os.Truncate": true,
+	"os.Setenv": true, "os.Unsetenv": true,
+	"(*os.File).Close": true, "(*os.File).Sync": true, "(*os.File).Truncate": true,
+	"(*os.File).WriteString": true,
+	"(*bufio.Writer).Flush":  true, "(*bufio.Writer).WriteString": true,
+	"(*bufio.Writer).WriteByte": true, "(*bufio.Writer).WriteRune": true,
+	"(*bytes.Buffer).WriteString": true, "(*bytes.Buffer).WriteByte": true,
+	"(*bytes.Buffer).WriteRune":      true,
+	"(*strings.Builder).WriteString": true, "(*strings.Builder).WriteByte": true,
+	"(*strings.Builder).WriteRune": true,
 }
 
 func init() {
@@ -28,7 +28,7 @@ func init() {
 		Name: "errdrop",
 		Doc: "flags discarded error returns (`_ = f()`, `v, _ := f()`, bare and " +
 			"deferred calls) for module functions whose last result is error " +
-			"and for well-known stdlib error returners; test files are exempt",
+			"and for listed stdlib error returners; test files are exempt",
 		Run: runErrDrop,
 	})
 }
@@ -38,28 +38,27 @@ func runErrDrop(pass *Pass) {
 		if f.IsTest {
 			continue
 		}
-		funcBodies(f.AST, func(name, recv string, body *ast.BlockStmt) {
-			checkErrDropBody(pass, f, body)
+		funcBodies(f.AST, func(_ string, body *ast.BlockStmt) {
+			checkErrDropBody(pass, body)
 		})
 	}
 }
 
-func checkErrDropBody(pass *Pass, f *File, body *ast.BlockStmt) {
-	fileIdents := collectOSFileIdents(f, body)
+func checkErrDropBody(pass *Pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch node := n.(type) {
 		case *ast.FuncLit:
 			return false // literals get their own funcBodies visit
 		case *ast.ExprStmt:
-			if call, ok := node.X.(*ast.CallExpr); ok && callReturnsError(pass, f, call, fileIdents) {
+			if call, ok := node.X.(*ast.CallExpr); ok && callReturnsError(pass, call) {
 				pass.Reportf(node.Pos(), "error result of %s is silently dropped; handle it or add //lint:ignore errdrop <reason>", calleeName(call))
 			}
 		case *ast.DeferStmt:
-			if node.Call != nil && callReturnsError(pass, f, node.Call, fileIdents) {
+			if node.Call != nil && callReturnsError(pass, node.Call) {
 				pass.Reportf(node.Pos(), "deferred %s drops its error; wrap it or add //lint:ignore errdrop <reason>", calleeName(node.Call))
 			}
 		case *ast.GoStmt:
-			if node.Call != nil && callReturnsError(pass, f, node.Call, fileIdents) {
+			if node.Call != nil && callReturnsError(pass, node.Call) {
 				pass.Reportf(node.Pos(), "goroutine call %s drops its error", calleeName(node.Call))
 			}
 		case *ast.AssignStmt:
@@ -69,7 +68,7 @@ func checkErrDropBody(pass *Pass, f *File, body *ast.BlockStmt) {
 				return true
 			}
 			call, ok := node.Rhs[0].(*ast.CallExpr)
-			if !ok || !callReturnsError(pass, f, call, fileIdents) {
+			if !ok || !callReturnsError(pass, call) {
 				return true
 			}
 			last, ok := node.Lhs[len(node.Lhs)-1].(*ast.Ident)
@@ -81,70 +80,17 @@ func checkErrDropBody(pass *Pass, f *File, body *ast.BlockStmt) {
 	})
 }
 
-// collectOSFileIdents finds local identifiers bound to *os.File via the
-// usual constructors (f, err := os.Open(...)), so their Close/Sync
-// calls are checked even though "Close" is also a module method name.
-func collectOSFileIdents(f *File, body *ast.BlockStmt) map[string]bool {
-	idents := map[string]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 || len(as.Lhs) == 0 {
-			return true
-		}
-		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		name, ok := pkgCallee(f, call, "os")
-		if !ok || !osFileCtors[name] {
-			return true
-		}
-		if id, ok := as.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
-			idents[id.Name] = true
-		}
-		return true
-	})
-	return idents
-}
-
-// callReturnsError decides, from names alone, whether a call's final
-// result is an error:
-//
-//   - local and module-qualified calls use the module index
-//     (conservatively: the name must return error in every declaration);
-//   - stdlib-qualified calls use the well-known list;
-//   - method calls on known *os.File locals use the well-known list;
-//   - otherwise the well-known list applies only when the name is not
-//     declared anywhere in this module, so e.g. a module Close() with
-//     no error result does not light up every x.Close() in the tree.
-func callReturnsError(pass *Pass, f *File, call *ast.CallExpr, fileIdents map[string]bool) bool {
-	switch fn := call.Fun.(type) {
-	case *ast.Ident:
-		return pass.Index.ReturnsError(fn.Name)
-	case *ast.SelectorExpr:
-		name := fn.Sel.Name
-		if id, ok := fn.X.(*ast.Ident); ok {
-			if path, imported := f.imports[id.Name]; imported {
-				if isModulePath(path) {
-					return pass.Index.ReturnsError(name)
-				}
-				return wellKnownErrFuncs[name]
-			}
-			if fileIdents[id.Name] && wellKnownErrFuncs[name] {
-				return true
-			}
-		}
-		if pass.Index.Declared(name) {
-			return pass.Index.ReturnsError(name)
-		}
-		return wellKnownErrFuncs[name]
+// callReturnsError reports whether a call's last result is error by
+// its type signature, for the calls this rule checks: module functions
+// and methods (interface methods included), and the listed
+// standard-library calls.
+func callReturnsError(pass *Pass, call *ast.CallExpr) bool {
+	fn := callee(pass.Info, call)
+	if fn == nil || (pass.Index.byTypes[fn.Pkg()] == nil && !stdlibErrCalls[fn.FullName()]) {
+		return false
 	}
-	return false
-}
-
-// isModulePath reports whether an import path belongs to this module.
-func isModulePath(path string) bool {
-	return path == "openvcu" || len(path) > 8 && path[:8] == "openvcu/"
+	res := fn.Signature().Results()
+	return res.Len() > 0 && types.Identical(res.At(res.Len()-1).Type(), types.Universe.Lookup("error").Type())
 }
 
 // calleeName renders the callee for diagnostics.

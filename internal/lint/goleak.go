@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -45,25 +46,25 @@ func runGoLeak(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkGoLeak(pass, f, fd)
+			checkGoLeak(pass, fd)
 		}
 	}
 }
 
-func checkGoLeak(pass *Pass, f *File, fd *ast.FuncDecl) {
-	sc := newFuncScope(pass.Index, f, pass.Pkg.Dir, fd)
+func checkGoLeak(pass *Pass, fd *ast.FuncDecl) {
 	// waited: canonical receivers of .Wait() calls anywhere in the
 	// function — WaitGroups the function joins on.
 	// received: canonical channels the function receives from (<-ch,
 	// range ch, select case <-ch). Shared with the spawn summary.
-	waited, received := collectJoins(sc, fd.Body)
+	waited, received := collectJoins(pass.Info, fd.Body)
+	cg := pass.Index.callGraph()
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		g, ok := n.(*ast.GoStmt)
 		if !ok {
 			return true
 		}
-		if !goStmtJoined(pass.Index, sc, waited, received, g) {
+		if !goStmtJoined(cg, pass.Info, waited, received, g) {
 			pass.Reportf(g.Pos(),
 				"goroutine is not joined in this function: no Done on a waited WaitGroup, no send/close on a received channel")
 		}
@@ -76,8 +77,7 @@ func checkGoLeak(pass *Pass, f *File, fd *ast.FuncDecl) {
 	// call. Callees inside the rule's own scope get their direct
 	// finding at the go statement instead, so they are skipped to avoid
 	// double-reporting.
-	cg := pass.Index.callGraph()
-	cls := &opClassifier{sc: sc, idx: pass.Index, f: f, dir: pass.Pkg.Dir, resolveCalls: true}
+	cls := &opClassifier{idx: pass.Index, info: pass.Info, resolveCalls: true}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.FuncLit, *ast.GoStmt:
@@ -116,40 +116,25 @@ func checkGoLeak(pass *Pass, f *File, fd *ast.FuncDecl) {
 // The goroutine's lifetime is then owned by the pool value and joined
 // at its close method, not in the spawning constructor — a deliberate
 // idiom (the encoder's tile worker pool), not a leak.
-func poolWorkerJoined(idx *Index, sc *funcScope, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || len(call.Args) != 0 {
+func poolWorkerJoined(cg *callGraph, info *types.Info, call *ast.CallExpr) bool {
+	if _, isSel := call.Fun.(*ast.SelectorExpr); !isSel || len(call.Args) != 0 {
 		return false
 	}
-	t := sc.typeOf(sel.X)
-	if t != nil {
-		t = t.deref()
+	fn := callee(info, call)
+	worker := cg.summaries[cg.idx.funcKey(fn)]
+	if worker == nil || fn.Signature().Recv() == nil {
+		return false // not a method: `go pkg.F()`
 	}
-	if t == nil || t.kind != kindNamed {
-		return false
-	}
-	i := strings.LastIndex(t.name, ".")
-	if i < 0 {
-		return false
-	}
-	dir, typ := t.name[:i], t.name[i+1:]
-	workers := idx.funcDecls[dir+"."+typ+"."+sel.Sel.Name]
-	if len(workers) == 0 {
-		return false
-	}
-	field := deferredDoneField(workers[0].decl)
-	if field == "" {
+	field := deferredDoneField(worker.fd.decl)
+	n, ok := types.Unalias(deref(fn.Signature().Recv().Type())).(*types.Named)
+	if field == "" || !ok {
 		return false
 	}
 	// Some other method of the same type must join on that field.
-	for key, decls := range idx.funcDecls {
-		if !strings.HasPrefix(key, dir+"."+typ+".") {
-			continue
-		}
-		for _, fd := range decls {
-			if fd.decl != workers[0].decl && waitsOnField(fd.decl, field) {
-				return true
-			}
+	for i := 0; i < n.NumMethods(); i++ {
+		other := cg.summaries[cg.idx.funcKey(n.Method(i))]
+		if other != nil && other != worker && waitsOnField(other.fd.decl, field) {
+			return true
 		}
 	}
 	return false

@@ -32,26 +32,24 @@ func runHeldBlock(pass *Pass) {
 		return
 	}
 	cg := pass.Index.callGraph()
+	cls := &opClassifier{idx: pass.Index, info: pass.Info, resolveCalls: true}
 	for _, f := range pass.Pkg.Files {
 		if f.IsTest {
 			continue
 		}
 		for _, decl := range f.AST.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			sc := newFuncScope(pass.Index, f, pass.Pkg.Dir, fd)
-			for _, body := range declBodies(fd) {
-				checkHeldBlock(pass, cg, sc, f, body)
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				for _, body := range declBodies(fd) {
+					checkHeldBlock(pass, cg, cls, body)
+				}
 			}
 		}
 	}
 }
 
-func checkHeldBlock(pass *Pass, cg *callGraph, sc *funcScope, f *File, body *ast.BlockStmt) {
+func checkHeldBlock(pass *Pass, cg *callGraph, cls *opClassifier, body *ast.BlockStmt) {
 	g := buildCFG(body)
-	ops := collectLockOps(g, &opClassifier{sc: sc, idx: pass.Index, f: f, dir: pass.Pkg.Dir, resolveCalls: true})
+	ops := collectLockOps(g, cls)
 	hasAcquire := false
 	for _, blockOps := range ops {
 		for _, op := range blockOps {

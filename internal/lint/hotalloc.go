@@ -56,7 +56,7 @@ func runHotAlloc(pass *Pass) {
 		if f.IsTest {
 			continue
 		}
-		funcBodies(f.AST, func(name, recv string, body *ast.BlockStmt) {
+		funcBodies(f.AST, func(name string, body *ast.BlockStmt) {
 			if isSetupFunc(name) {
 				return
 			}
@@ -123,9 +123,9 @@ func checkAllocs(pass *Pass, n ast.Node, depth int, kernel bool) {
 					}
 				}
 			case *ast.SelectorExpr:
-				if id, ok := fn.X.(*ast.Ident); ok && depth >= 1 && id.Name == "fmt" &&
-					strings.HasPrefix(fn.Sel.Name, "Sprint") {
-					pass.Reportf(x.Pos(), "fmt.%s allocates inside a hot loop; format outside the loop", fn.Sel.Name)
+				if path, name, ok := pkgFunc(pass.Info, x); ok && depth >= 1 && path == "fmt" &&
+					strings.HasPrefix(name, "Sprint") {
+					pass.Reportf(x.Pos(), "fmt.%s allocates inside a hot loop; format outside the loop", name)
 				}
 			}
 		case *ast.BinaryExpr:

@@ -3,51 +3,19 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"strconv"
+	"go/types"
 	"strings"
 	"sync"
 )
 
-// Index is module-wide symbol information built from a single parse of
-// every package, used by analyzers that need cross-package facts
-// without full type checking: which function names return errors
-// (errdrop), how big each struct type is (bigcopy), and — for the
-// dataflow layer in dataflow.go — where every named type, function,
-// method and integer constant is declared.
+// Index is the module-wide state shared by every Pass: the type-checked
+// packages, the mapping from go/types packages back to them, and the
+// caches of the two whole-program analyses.
 type Index struct {
-	// errFuncs maps a function or method name to whether every
-	// declaration of that name in the module has error as its final
-	// result. Names with conflicting declarations map to false so the
-	// name heuristic never produces a finding that type information
-	// would not.
-	errFuncs map[string]bool
-
-	// structSizes maps "dir.TypeName" and bare "TypeName" to an
-	// approximate value size in bytes (field sizes summed, alignment
-	// ignored). Ambiguous bare names resolve to the largest candidate.
-	structSizes    map[string]int64
-	ambiguousSizes map[string]bool
-
-	// pkgDirs is the set of package directories seen in this module,
-	// used to resolve import paths by longest-suffix match (the module
-	// is parsed by directory, so "openvcu/internal/codec/motion" is
-	// identified with the tree dir "internal/codec/motion").
-	pkgDirs map[string]bool
-
-	// typeDecls maps "dir.TypeName" to the declaring spec plus the file
-	// context needed to resolve the right-hand side (imports, package
-	// dir). Redeclarations across same-dir packages keep the first.
-	typeDecls map[string]*typeDecl
-
-	// funcDecls maps "dir.FuncName" (free functions) and
-	// "dir.RecvType.Method" (methods, pointer receivers unwrapped) to
-	// every declaration of that key.
-	funcDecls map[string][]*funcDecl
-
-	// intConsts maps "dir.ConstName" to package-level integer constant
-	// values, recording whether the source literal was a full 16-digit
-	// hex word (a SWAR lane mask, checked by swarwidth).
-	intConsts map[string]intConst
+	fset    *token.FileSet
+	modPath string
+	pkgs    []*Package
+	byTypes map[*types.Package]*Package
 
 	// cg caches the call-graph summaries (callgraph.go), built lazily by
 	// the first rule that needs interprocedural facts. The sync.Once
@@ -63,389 +31,134 @@ type Index struct {
 	lockOrder     []lockOrderFinding
 }
 
-// typeDecl is one named type declaration with its resolution context.
-type typeDecl struct {
-	pkg  *Package
-	file *File
-	spec *ast.TypeSpec
-}
-
-// funcDecl is one function or method declaration with its context.
-type funcDecl struct {
-	pkg  *Package
-	file *File
-	decl *ast.FuncDecl
-}
-
-// intConst is an evaluated package-level integer constant.
-type intConst struct {
-	val     int64
-	wideHex bool // literal was written as a 16-hex-digit word
-}
-
-// buildIndex scans all parsed packages.
-func buildIndex(pkgs []*Package) *Index {
-	idx := &Index{
-		errFuncs:       map[string]bool{},
-		structSizes:    map[string]int64{},
-		ambiguousSizes: map[string]bool{},
-		pkgDirs:        map[string]bool{},
-		typeDecls:      map[string]*typeDecl{},
-		funcDecls:      map[string][]*funcDecl{},
-		intConsts:      map[string]intConst{},
+// keyDir renders a module package for symbol keys: its import path
+// relative to the module ("internal/codec/motion", "internal/x_test"
+// for an external test package, "." for the root).
+func (idx *Index) keyDir(p *types.Package) string {
+	rel := strings.TrimPrefix(strings.TrimPrefix(p.Path(), idx.modPath), "/")
+	if rel == "" {
+		return "."
 	}
-	idx.collectSymbols(pkgs)
-	// Pass 1: record type specs so size resolution can chase named
-	// types across packages.
-	type namedSpec struct {
-		pkg  *Package
-		spec *ast.TypeSpec
+	return rel
+}
+
+// namedKey names the named type t (aliases unwrapped, instantiations
+// mapped to their origin): "internal/codec/motion.Pyramid" for module
+// types, "sync.WaitGroup" for the rest. inModule reports which; the key
+// is "" for anything that is not a package-level named type.
+func (idx *Index) namedKey(t types.Type) (key string, inModule bool) {
+	n, ok := types.Unalias(t).(*types.Named)
+	if !ok || n.Obj().Pkg() == nil {
+		return "", false
 	}
-	var specs []namedSpec
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.AST.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok {
-					continue
-				}
-				for _, s := range gd.Specs {
-					ts, ok := s.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					specs = append(specs, namedSpec{pkg, ts})
-				}
-			}
+	obj := n.Origin().Obj()
+	if idx.byTypes[obj.Pkg()] != nil {
+		return idx.keyDir(obj.Pkg()) + "." + obj.Name(), true
+	}
+	return obj.Pkg().Path() + "." + obj.Name(), false
+}
+
+// ptrToKey returns the namedKey of *T when t is a pointer to a named
+// type, "" otherwise.
+func (idx *Index) ptrToKey(t types.Type) string {
+	p, ok := types.Unalias(t).(*types.Pointer)
+	if !ok {
+		return ""
+	}
+	key, _ := idx.namedKey(p.Elem())
+	return key
+}
+
+// funcKey names a module function "dir.Func" or method
+// "dir.Recv.Method" (pointer receivers unwrapped). "" for functions
+// outside the module and for methods of unnamed types.
+func (idx *Index) funcKey(fn *types.Func) string {
+	if fn == nil || idx.byTypes[fn.Pkg()] == nil {
+		return ""
+	}
+	name := fn.Name()
+	if recv := fn.Signature().Recv(); recv != nil {
+		key, _ := idx.namedKey(deref(recv.Type()))
+		if key == "" {
+			return ""
 		}
+		name = key[strings.LastIndexByte(key, '.')+1:] + "." + name
 	}
-	byName := map[string][]namedSpec{}
-	for _, ns := range specs {
-		byName[ns.spec.Name.Name] = append(byName[ns.spec.Name.Name], ns)
-	}
-	// sizeOf resolves the value size of a type expression; named types
-	// are chased by name (qualified names ignore the qualifier — type
-	// names are effectively unique in this module, and ambiguous names
-	// degrade to pointer size, never a false finding).
-	var sizeOf func(e ast.Expr, depth int) int64
-	sizeOf = func(e ast.Expr, depth int) int64 {
-		if depth > 16 {
-			return wordSize
-		}
-		switch t := e.(type) {
-		case *ast.Ident:
-			if s, ok := basicSizes[t.Name]; ok {
-				return s
-			}
-			cands := byName[t.Name]
-			if len(cands) == 0 {
-				return wordSize
-			}
-			sz := sizeOf(cands[0].spec.Type, depth+1)
-			for _, c := range cands[1:] {
-				if s2 := sizeOf(c.spec.Type, depth+1); s2 > sz {
-					sz = s2 // conservative: use the largest same-named type
-				}
-			}
-			return sz
-		case *ast.SelectorExpr:
-			return sizeOf(t.Sel, depth)
-		case *ast.StarExpr, *ast.FuncType, *ast.ChanType, *ast.MapType:
-			return wordSize
-		case *ast.ArrayType:
-			if t.Len == nil {
-				return sliceSize
-			}
-			n := arrayLen(t.Len)
-			if n < 0 {
-				return wordSize
-			}
-			return n * sizeOf(t.Elt, depth+1)
-		case *ast.StructType:
-			var total int64
-			for _, field := range t.Fields.List {
-				fs := sizeOf(field.Type, depth+1)
-				n := int64(len(field.Names))
-				if n == 0 {
-					n = 1 // embedded field
-				}
-				total += n * fs
-			}
-			return total
-		case *ast.InterfaceType:
-			return ifaceSize
-		case *ast.ParenExpr:
-			return sizeOf(t.X, depth)
-		case *ast.IndexExpr:
-			return sizeOf(t.X, depth) // generic instantiation: size of the generic's layout guess
-		}
-		return wordSize
-	}
-	for name, cands := range byName {
-		sz := sizeOf(cands[0].spec.Type, 0)
-		idx.structSizes[name] = sz
-		for _, c := range cands {
-			key := c.pkg.Dir + "." + name
-			idx.structSizes[key] = sizeOf(c.spec.Type, 0)
-		}
-		if len(cands) > 1 {
-			idx.ambiguousSizes[name] = true
-		}
-	}
-
-	// Pass 2: function/method error-return facts.
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.AST.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				returnsErr := funcReturnsError(fd.Type)
-				name := fd.Name.Name
-				if prev, seen := idx.errFuncs[name]; seen {
-					idx.errFuncs[name] = prev && returnsErr
-				} else {
-					idx.errFuncs[name] = returnsErr
-				}
-			}
-		}
-	}
-	return idx
+	return idx.keyDir(fn.Pkg()) + "." + name
 }
 
-const (
-	wordSize  = 8
-	sliceSize = 24
-	strSize   = 16
-	ifaceSize = 16
-)
-
-var basicSizes = map[string]int64{
-	"bool": 1, "int8": 1, "uint8": 1, "byte": 1,
-	"int16": 2, "uint16": 2,
-	"int32": 4, "uint32": 4, "float32": 4, "rune": 4,
-	"int64": 8, "uint64": 8, "float64": 8,
-	"int": 8, "uint": 8, "uintptr": 8,
-	"complex64": 8, "complex128": 16,
-	"string": strSize,
-	"error":  ifaceSize,
-	"any":    ifaceSize,
-}
-
-// arrayLen evaluates a constant array length expression, returning -1
-// when it is not a plain integer literal (e.g. a named const).
-func arrayLen(e ast.Expr) int64 {
-	switch v := e.(type) {
-	case *ast.BasicLit:
-		n, err := strconv.ParseInt(v.Value, 0, 64)
-		if err != nil {
-			return -1
-		}
-		return n
-	case *ast.ParenExpr:
-		return arrayLen(v.X)
+// deref unwraps one level of pointer.
+func deref(t types.Type) types.Type {
+	if p, ok := types.Unalias(t).(*types.Pointer); ok {
+		return p.Elem()
 	}
-	return -1
+	return t
 }
 
-// funcReturnsError reports whether the final result of ft is the
-// predeclared error type.
-func funcReturnsError(ft *ast.FuncType) bool {
-	if ft.Results == nil || len(ft.Results.List) == 0 {
-		return false
+// under is t.Underlying(), nil for a nil t (an expression the checker
+// could not type).
+func under(t types.Type) types.Type {
+	if t == nil {
+		return nil
 	}
-	last := ft.Results.List[len(ft.Results.List)-1]
-	id, ok := last.Type.(*ast.Ident)
-	return ok && id.Name == "error"
+	return t.Underlying()
 }
 
-// SizeOfNamed returns the approximate value size of a named type, and
-// whether the name was found. Ambiguity across packages resolves to the
-// largest candidate.
-func (idx *Index) SizeOfNamed(name string) (int64, bool) {
-	s, ok := idx.structSizes[name]
-	return s, ok
+// basicInfo returns the properties of a basic type, 0 for anything else.
+func basicInfo(t types.Type) types.BasicInfo {
+	if b, ok := under(t).(*types.Basic); ok {
+		return b.Info()
+	}
+	return 0
 }
 
-// ReturnsError reports whether every module declaration of the named
-// function/method has error as its last result. Unknown names return
-// false.
-func (idx *Index) ReturnsError(name string) bool {
-	return idx.errFuncs[name]
-}
-
-// Declared reports whether any function or method with this name is
-// declared in the module.
-func (idx *Index) Declared(name string) bool {
-	_, ok := idx.errFuncs[name]
+// isChan reports whether t is a channel type.
+func isChan(t types.Type) bool {
+	_, ok := under(t).(*types.Chan)
 	return ok
 }
 
-// collectSymbols records the qualified declaration maps consumed by the
-// dataflow layer: named types, functions/methods, and integer consts.
-func (idx *Index) collectSymbols(pkgs []*Package) {
-	for _, pkg := range pkgs {
-		idx.pkgDirs[pkg.Dir] = true
-		for _, f := range pkg.Files {
-			for _, decl := range f.AST.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					key := pkg.Dir + "." + d.Name.Name
-					if d.Recv != nil && len(d.Recv.List) > 0 {
-						recv := typeBaseName(d.Recv.List[0].Type)
-						if recv == "" {
-							continue
-						}
-						key = pkg.Dir + "." + recv + "." + d.Name.Name
-					}
-					idx.funcDecls[key] = append(idx.funcDecls[key], &funcDecl{pkg: pkg, file: f, decl: d})
-				case *ast.GenDecl:
-					for _, s := range d.Specs {
-						if ts, ok := s.(*ast.TypeSpec); ok {
-							key := pkg.Dir + "." + ts.Name.Name
-							if _, seen := idx.typeDecls[key]; !seen {
-								idx.typeDecls[key] = &typeDecl{pkg: pkg, file: f, spec: ts}
-							}
-						}
-					}
-				}
-			}
-		}
+// callee returns the function or method a call statically names, or nil
+// for builtins, conversions and calls of function values. Interface
+// methods resolve to the abstract method.
+func callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch f := fun.(type) {
+	case *ast.IndexExpr: // generic instantiation f[T](...)
+		fun = f.X
+	case *ast.IndexListExpr:
+		fun = f.X
 	}
-	// Integer constants, evaluated to a fixpoint so one const may refer
-	// to another regardless of file order. iota specs are skipped: the
-	// rules that consume constants (shift counts, lane masks) never
-	// need enumerators.
-	for pass := 0; pass < 2; pass++ {
-		for _, pkg := range pkgs {
-			for _, f := range pkg.Files {
-				for _, decl := range f.AST.Decls {
-					gd, ok := decl.(*ast.GenDecl)
-					if !ok || gd.Tok != token.CONST {
-						continue
-					}
-					for _, s := range gd.Specs {
-						vs, ok := s.(*ast.ValueSpec)
-						if !ok {
-							continue
-						}
-						for i, name := range vs.Names {
-							if i >= len(vs.Values) {
-								continue
-							}
-							key := pkg.Dir + "." + name.Name
-							if _, done := idx.intConsts[key]; done {
-								continue
-							}
-							if c, ok := idx.evalConst(vs.Values[i], f, pkg.Dir, 0); ok {
-								idx.intConsts[key] = c
-							}
-						}
-					}
-				}
-			}
-		}
+	var id *ast.Ident
+	switch f := fun.(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	default:
+		return nil
 	}
+	fn, _ := info.Uses[id].(*types.Func)
+	if fn == nil {
+		return nil
+	}
+	return fn.Origin()
 }
 
-// evalConst evaluates a constant integer expression: literals, refs to
-// already-indexed constants (same package or alias-qualified), and the
-// usual arithmetic/bitwise operators. ok is false for anything else
-// (iota, floats, strings, unresolved names).
-func (idx *Index) evalConst(e ast.Expr, f *File, dir string, depth int) (intConst, bool) {
-	if depth > 8 {
-		return intConst{}, false
+// pkgFunc decodes a call of a package-level function through an import
+// (time.Now()), returning the imported package path and function name.
+func pkgFunc(info *types.Info, call *ast.CallExpr) (path, name string, ok bool) {
+	sel, isSel := call.Fun.(*ast.SelectorExpr)
+	if !isSel {
+		return "", "", false
 	}
-	switch x := e.(type) {
-	case *ast.BasicLit:
-		if x.Kind != token.INT {
-			return intConst{}, false
-		}
-		v, err := strconv.ParseUint(x.Value, 0, 64)
-		if err != nil {
-			return intConst{}, false
-		}
-		wide := (strings.HasPrefix(x.Value, "0x") || strings.HasPrefix(x.Value, "0X")) &&
-			len(strings.ReplaceAll(x.Value[2:], "_", "")) == 16
-		return intConst{val: int64(v), wideHex: wide}, true
-	case *ast.Ident:
-		c, ok := idx.intConsts[dir+"."+x.Name]
-		return c, ok
-	case *ast.SelectorExpr:
-		id, ok := x.X.(*ast.Ident)
-		if !ok {
-			return intConst{}, false
-		}
-		path, imported := f.imports[id.Name]
-		if !imported {
-			return intConst{}, false
-		}
-		d := idx.dirForImport(path)
-		if d == "" {
-			return intConst{}, false
-		}
-		c, ok := idx.intConsts[d+"."+x.Sel.Name]
-		return c, ok
-	case *ast.ParenExpr:
-		return idx.evalConst(x.X, f, dir, depth+1)
-	case *ast.UnaryExpr:
-		c, ok := idx.evalConst(x.X, f, dir, depth+1)
-		if !ok {
-			return intConst{}, false
-		}
-		switch x.Op {
-		case token.SUB:
-			return intConst{val: -c.val}, true
-		case token.XOR:
-			return intConst{val: ^c.val}, true
-		case token.ADD:
-			return c, true
-		}
-		return intConst{}, false
-	case *ast.BinaryExpr:
-		a, okA := idx.evalConst(x.X, f, dir, depth+1)
-		b, okB := idx.evalConst(x.Y, f, dir, depth+1)
-		if !okA || !okB {
-			return intConst{}, false
-		}
-		switch x.Op {
-		case token.ADD:
-			return intConst{val: a.val + b.val}, true
-		case token.SUB:
-			return intConst{val: a.val - b.val}, true
-		case token.MUL:
-			return intConst{val: a.val * b.val}, true
-		case token.QUO:
-			if b.val == 0 {
-				return intConst{}, false
-			}
-			return intConst{val: a.val / b.val}, true
-		case token.REM:
-			if b.val == 0 {
-				return intConst{}, false
-			}
-			return intConst{val: a.val % b.val}, true
-		case token.AND:
-			return intConst{val: a.val & b.val}, true
-		case token.OR:
-			return intConst{val: a.val | b.val}, true
-		case token.XOR:
-			return intConst{val: a.val ^ b.val}, true
-		case token.AND_NOT:
-			return intConst{val: a.val &^ b.val}, true
-		case token.SHL:
-			if b.val < 0 || b.val > 63 {
-				return intConst{}, false
-			}
-			return intConst{val: a.val << uint(b.val)}, true
-		case token.SHR:
-			if b.val < 0 || b.val > 63 {
-				return intConst{}, false
-			}
-			return intConst{val: int64(uint64(a.val) >> uint(b.val))}, true
-		}
-		return intConst{}, false
+	id, isIdent := sel.X.(*ast.Ident)
+	if !isIdent {
+		return "", "", false
 	}
-	return intConst{}, false
+	pn, isPkg := info.Uses[id].(*types.PkgName)
+	if !isPkg {
+		return "", "", false
+	}
+	return pn.Imported().Path(), sel.Sel.Name, true
 }

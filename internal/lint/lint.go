@@ -7,10 +7,11 @@
 // per-core memory behaviour) are enforced in CI rather than in review
 // folklore.
 //
-// The framework is built only on go/ast, go/parser, and go/token: it
-// walks the module by directory instead of using go/packages, so the
-// linter itself has no dependencies beyond the standard library and can
-// run in any container that has the Go toolchain.
+// The framework uses only the standard library: it walks the module by
+// directory, parses with go/parser, and type-checks every package with
+// go/types (module imports resolve to packages already checked,
+// standard-library imports come from the gc export data), so the linter
+// runs in any container that has the Go toolchain.
 //
 // Suppression: a finding may be silenced with a comment of the form
 //
@@ -24,6 +25,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 	"strings"
 )
@@ -41,6 +43,11 @@ type Diagnostic struct {
 	Col  int    `json:"col"`
 }
 
+// diagnostic builds a finding at a resolved position.
+func diagnostic(rule, msg string, pos token.Position) Diagnostic {
+	return Diagnostic{Rule: rule, Message: msg, Pos: pos, File: pos.Filename, Line: pos.Line, Col: pos.Column}
+}
+
 // String renders the diagnostic in the conventional file:line:col form.
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Col, d.Rule, d.Message)
@@ -54,37 +61,48 @@ type File struct {
 	Fset   *token.FileSet
 	IsTest bool
 
-	// imports maps local alias -> import path for this file.
-	imports map[string]string
 	// ignores maps line number -> set of suppressed rule names.
 	ignores map[int]map[string]bool
 }
 
-// ImportAlias returns the local name under which path is imported, or
-// "" if the file does not import it. A dot import returns ".".
-func (f *File) ImportAlias(path string) string {
-	for alias, p := range f.imports {
-		if p == path {
-			return alias
-		}
-	}
-	return ""
-}
-
 // Package is a group of files sharing a directory and package name.
-// External test packages (package foo_test) form their own Package.
+// In-package _test.go files belong to the package they extend;
+// external test packages (package foo_test) form their own Package.
 type Package struct {
 	// Dir is the slash-separated directory path relative to the
 	// analysis root ("." for the root itself).
 	Dir   string
 	Name  string
 	Files []*File
+
+	// Types and Info are the go/types results for the package. A
+	// package with type errors keeps whatever the checker recovered;
+	// the errors themselves are "typecheck" diagnostics.
+	Types *types.Package
+	Info  *types.Info
+}
+
+// externalTest reports whether p is an external test package (package
+// foo_test built from _test.go files only).
+func (p *Package) externalTest() bool {
+	if !strings.HasSuffix(p.Name, "_test") {
+		return false
+	}
+	for _, f := range p.Files {
+		if !f.IsTest {
+			return false
+		}
+	}
+	return true
 }
 
 // Pass carries the state handed to one analyzer run over one package.
 type Pass struct {
 	Pkg   *Package
 	Index *Index
+	// Types and Info are Pkg.Types and Pkg.Info.
+	Types *types.Package
+	Info  *types.Info
 
 	analyzer *Analyzer
 	fset     *token.FileSet
@@ -100,15 +118,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // that buffer findings and flush them only when an exploration
 // completes within budget.
 func (p *Pass) diagnosticAt(pos token.Pos, msg string) Diagnostic {
-	position := p.fset.Position(pos)
-	return Diagnostic{
-		Rule:    p.analyzer.Name,
-		Message: msg,
-		Pos:     position,
-		File:    position.Filename,
-		Line:    position.Line,
-		Col:     position.Column,
-	}
+	return diagnostic(p.analyzer.Name, msg, p.fset.Position(pos))
 }
 
 // emit records a previously built diagnostic.

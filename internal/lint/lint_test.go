@@ -121,18 +121,17 @@ func TestHotAllocKernelFixture(t *testing.T) {
 func TestBigCopyFixture(t *testing.T) { runFixture(t, "bigcopy", "internal/video") }
 func TestErrDropFixture(t *testing.T) { runFixture(t, "errdrop", "internal/transcode") }
 
-// The four dataflow-layer rules (this PR): each fixture contains at
-// least one true positive that the syntactic passes cannot see —
-// the verdict depends on cross-package type resolution.
+// The type-driven rules: each fixture contains at least one true
+// positive that an expression-level pass cannot see — the verdict
+// depends on types resolved across packages.
 func TestScratchShareFixture(t *testing.T) { runFixture(t, "scratchshare", "internal/enc") }
 func TestSharedMutFixture(t *testing.T)    { runFixture(t, "sharedmut", "internal/refcache") }
 func TestSwarWidthFixture(t *testing.T)    { runFixture(t, "swarwidth", "internal/bits") }
 func TestGoLeakFixture(t *testing.T)       { runFixture(t, "goleak", "internal/cluster") }
 
-// The CFG/call-graph-layer rules (this PR): each fixture contains at
-// least one true positive invisible to the syntactic and dataflow
-// passes — the verdict depends on path exploration or on a callee's
-// one-level summary.
+// The CFG/call-graph-layer rules: each fixture contains at least one
+// true positive invisible to expression-level passes — the verdict
+// depends on path exploration or on a callee's summary.
 func TestLockOrderFixture(t *testing.T)   { runFixture(t, "lockorder", "internal/vcu/ordering") }
 func TestHeldBlockFixture(t *testing.T)   { runFixture(t, "heldblock", "internal/vcu/held") }
 func TestWaitBalanceFixture(t *testing.T) { runFixture(t, "waitbalance", "internal/vcu/fanout") }
@@ -306,8 +305,9 @@ func a() {
 
 // TestTypeResolutionFailure runs every analyzer over a file that
 // parses cleanly but whose types all come from an unresolvable
-// external package: the dataflow layer must degrade to unknown —
-// producing no findings — rather than crash or guess.
+// external package: the failed import is reported once as a typecheck
+// diagnostic, and no analyzer crashes or guesses a finding from the
+// types it could not learn.
 func TestTypeResolutionFailure(t *testing.T) {
 	dir := t.TempDir()
 	src := `package p
@@ -335,8 +335,8 @@ func f(h *holder, c ext.Cache, fr *ext.Frame) *ext.Frame {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 0 {
-		t.Fatalf("unresolvable types must not produce findings, got %v", diags)
+	if len(diags) != 1 || diags[0].Rule != "typecheck" || diags[0].Line != 3 {
+		t.Fatalf("want only the typecheck diagnostic for the unresolvable import, got %v", diags)
 	}
 }
 
@@ -352,5 +352,33 @@ func TestDiagnosticJSON(t *testing.T) {
 	want := `{"rule":"hotalloc","message":"m","file":"a/b.go","line":3,"col":7}`
 	if got != want {
 		t.Fatalf("json shape drifted:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestGoStatementOfPackageFunction: `go other.Work()` names a function,
+// not a method, so the pool-worker shape does not apply and the
+// goroutine is reported as unjoined.
+func TestGoStatementOfPackageFunction(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod":                      "module m\n\ngo 1.24\n",
+		"internal/other/other.go":     "package other\n\nfunc Work() {}\n",
+		"internal/transcode/spawn.go": "package transcode\n\nimport \"m/internal/other\"\n\nfunc spawn() {\n\tgo other.Work()\n}\n",
+	}
+	for name, src := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	diags, err := Run(Config{Root: dir, Analyzers: []*Analyzer{Lookup("goleak")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 1 || diags[0].Rule != "goleak" || diags[0].Line != 6 {
+		t.Fatalf("want one goleak finding at spawn.go:6, got %v", diags)
 	}
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 	"strconv"
 )
@@ -35,7 +36,7 @@ type lockOp struct {
 	// class is the module-wide lock identity "pkgdir.Type.field"; ""
 	// when the receiver's type does not resolve to a module type.
 	class string
-	// callKey is the symbol-index key of a resolved module callee, and
+	// callKey is the Index.funcKey of a resolved module callee, and
 	// call its site (for positional argument mapping in summaries).
 	callKey string
 	call    *ast.CallExpr
@@ -76,14 +77,12 @@ type heldLock struct {
 	pos   token.Pos
 }
 
-// opClassifier turns block nodes into lockOps. sc may be nil: lock
-// classes and channel-typed range detection then degrade to unknown,
-// which only narrows what the consumer can see.
+// opClassifier turns block nodes into lockOps. info may be nil: lock
+// classes, callees and channel-typed range detection then degrade to
+// unknown, which only narrows what the consumer can see.
 type opClassifier struct {
-	sc           *funcScope
 	idx          *Index
-	f            *File
-	dir          string
+	info         *types.Info
 	resolveCalls bool
 }
 
@@ -91,64 +90,23 @@ type opClassifier struct {
 // expression: the named module type owning the field, qualified by
 // package dir ("internal/sched.shard.mu"). "" when unresolved.
 func (c *opClassifier) lockClassOf(recvExpr ast.Expr) string {
-	if c.sc == nil || c.idx == nil {
-		return ""
-	}
 	sel, ok := recvExpr.(*ast.SelectorExpr)
-	if !ok {
+	if !ok || c.info == nil {
 		return ""
 	}
-	base := c.sc.typeOf(sel.X).deref()
-	if base == nil || base.kind != kindNamed {
+	key, inModule := c.idx.namedKey(deref(c.info.TypeOf(sel.X)))
+	if !inModule {
 		return ""
 	}
-	if _, isModuleType := c.idx.typeDecls[base.name]; !isModuleType {
-		return ""
-	}
-	return base.name + "." + sel.Sel.Name
+	return key + "." + sel.Sel.Name
 }
 
 // calleeKey resolves a call to a module function/method key, or "".
 func (c *opClassifier) calleeKey(call *ast.CallExpr) string {
-	if c.idx == nil {
+	if c.info == nil {
 		return ""
 	}
-	switch fn := call.Fun.(type) {
-	case *ast.Ident:
-		key := c.dir + "." + fn.Name
-		if _, ok := c.idx.funcDecls[key]; ok {
-			return key
-		}
-	case *ast.SelectorExpr:
-		if id, ok := fn.X.(*ast.Ident); ok && c.f != nil {
-			isVar := false
-			if c.sc != nil {
-				_, isVar = c.sc.vars[id.Name]
-			}
-			if !isVar {
-				if path, imported := c.f.imports[id.Name]; imported {
-					if d := c.idx.dirForImport(path); d != "" {
-						key := d + "." + fn.Sel.Name
-						if _, ok := c.idx.funcDecls[key]; ok {
-							return key
-						}
-					}
-					return ""
-				}
-			}
-		}
-		if c.sc == nil {
-			return ""
-		}
-		recv := c.sc.typeOf(fn.X).deref()
-		if recv != nil && recv.kind == kindNamed {
-			key := recv.name + "." + fn.Sel.Name
-			if _, ok := c.idx.funcDecls[key]; ok {
-				return key
-			}
-		}
-	}
-	return ""
+	return c.idx.funcKey(callee(c.info, call))
 }
 
 // collectLockOps classifies every node of every block.
@@ -168,10 +126,8 @@ func collectLockOps(g *cfg, c *opClassifier) [][]lockOp {
 func (c *opClassifier) nodeOps(g *cfg, n ast.Node, out *[]lockOp) {
 	switch node := n.(type) {
 	case *ast.RangeStmt:
-		if c.sc != nil {
-			if xt := c.sc.typeOf(node.X).deref(); xt != nil && xt.kind == kindChan {
-				*out = append(*out, lockOp{kind: opBlocking, what: "range over channel " + exprString(node.X), pos: node.Pos()})
-			}
+		if c.info != nil && isChan(c.info.TypeOf(node.X)) {
+			*out = append(*out, lockOp{kind: opBlocking, what: "range over channel " + exprString(node.X), pos: node.Pos()})
 		}
 		return
 	case *ast.SelectStmt:
@@ -230,8 +186,7 @@ func (c *opClassifier) nodeOps(g *cfg, n ast.Node, out *[]lockOp) {
 		case *ast.CallExpr:
 			sel, ok := mm.Fun.(*ast.SelectorExpr)
 			if !ok {
-				// Same-package free-function call (helper()): resolvable
-				// through the index even without a selector.
+				// Same-package free-function call (helper()).
 				if c.resolveCalls {
 					if _, isIdent := mm.Fun.(*ast.Ident); isIdent {
 						if key := c.calleeKey(mm); key != "" {

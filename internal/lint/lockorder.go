@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
 	"sort"
 	"strings"
@@ -95,69 +96,77 @@ func (idx *Index) computeLockOrderFindings() []lockOrderFinding {
 		edges[e] = append(edges[e], s)
 	}
 
-	for _, key := range sortedFuncKeys(idx) {
-		for _, fd := range idx.funcDecls[key] {
-			if fd.decl.Body == nil || fd.file.IsTest || !dirMatchesAny(fd.pkg.Dir, lockOrderDirs) {
+	for _, pkg := range idx.pkgs {
+		if !dirMatchesAny(pkg.Dir, lockOrderDirs) {
+			continue
+		}
+		c := &opClassifier{idx: idx, info: pkg.Info, resolveCalls: true}
+		for _, file := range pkg.Files {
+			if file.IsTest {
 				continue
 			}
-			sc := newFuncScope(idx, fd.file, fd.pkg.Dir, fd.decl)
-			for _, body := range declBodies(fd.decl) {
-				g := buildCFG(body)
-				c := &opClassifier{sc: sc, idx: idx, f: fd.file, dir: fd.pkg.Dir, resolveCalls: true}
-				ops := collectLockOps(g, c)
-				hasAcquire := false
-				for _, blockOps := range ops {
-					for _, op := range blockOps {
-						if op.kind == opAcquire {
-							hasAcquire = true
-						}
-					}
-				}
-				if !hasAcquire {
-					continue // edges need a held lock
-				}
-				var pending []func()
-				aborted := walkLockPaths(g, ops, lockEvents{
-					onAcquire: func(held []heldLock, op lockOp) {
-						if op.class == "" {
-							return
-						}
-						for _, h := range held {
-							if h.class == "" || h.class == op.class {
-								continue
-							}
-							from, to, s := h.class, op.class, lockOrderSite{pkg: fd.pkg, f: fd.file, pos: op.pos}
-							pending = append(pending, func() { addSite(from, to, s) })
-						}
-					},
-					onCall: func(held []heldLock, op lockOp) {
-						sum := cg.summaries[op.callKey]
-						if sum == nil || len(sum.acquires) == 0 {
-							return
-						}
-						classes := make([]string, 0, len(sum.acquires))
-						for cl := range sum.acquires {
-							classes = append(classes, cl)
-						}
-						sort.Strings(classes)
-						for _, to := range classes {
-							for _, h := range held {
-								if h.class == "" || h.class == to {
-									continue
-								}
-								from := h.class
-								s := lockOrderSite{pkg: fd.pkg, f: fd.file, pos: op.pos, via: viaChain(op.callKey, sum.acquiresVia[to])}
-								toCl := to
-								pending = append(pending, func() { addSite(from, toCl, s) })
-							}
-						}
-					},
-				})
-				if aborted {
+			for _, decl := range file.AST.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok {
 					continue
 				}
-				for _, flush := range pending {
-					flush()
+				for _, body := range declBodies(fd) {
+					g := buildCFG(body)
+					ops := collectLockOps(g, c)
+					hasAcquire := false
+					for _, blockOps := range ops {
+						for _, op := range blockOps {
+							if op.kind == opAcquire {
+								hasAcquire = true
+							}
+						}
+					}
+					if !hasAcquire {
+						continue // edges need a held lock
+					}
+					var pending []func()
+					aborted := walkLockPaths(g, ops, lockEvents{
+						onAcquire: func(held []heldLock, op lockOp) {
+							if op.class == "" {
+								return
+							}
+							for _, h := range held {
+								if h.class == "" || h.class == op.class {
+									continue
+								}
+								from, to, s := h.class, op.class, lockOrderSite{pkg: pkg, f: file, pos: op.pos}
+								pending = append(pending, func() { addSite(from, to, s) })
+							}
+						},
+						onCall: func(held []heldLock, op lockOp) {
+							sum := cg.summaries[op.callKey]
+							if sum == nil || len(sum.acquires) == 0 {
+								return
+							}
+							classes := make([]string, 0, len(sum.acquires))
+							for cl := range sum.acquires {
+								classes = append(classes, cl)
+							}
+							sort.Strings(classes)
+							for _, to := range classes {
+								for _, h := range held {
+									if h.class == "" || h.class == to {
+										continue
+									}
+									from := h.class
+									s := lockOrderSite{pkg: pkg, f: file, pos: op.pos, via: viaChain(op.callKey, sum.acquiresVia[to])}
+									toCl := to
+									pending = append(pending, func() { addSite(from, toCl, s) })
+								}
+							}
+						},
+					})
+					if aborted {
+						continue
+					}
+					for _, flush := range pending {
+						flush()
+					}
 				}
 			}
 		}

@@ -40,7 +40,7 @@ func runScratchShare(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkScratchEscapes(pass, f, fd)
+			checkScratchEscapes(pass, fd)
 		}
 	}
 }
@@ -54,7 +54,7 @@ func scratchDisplayName(qualified string) string {
 	return qualified
 }
 
-func checkScratchEscapes(pass *Pass, f *File, fd *ast.FuncDecl) {
+func checkScratchEscapes(pass *Pass, fd *ast.FuncDecl) {
 	// tracked maps a name to the qualified scratch type it aliases.
 	// Seeded from receiver + parameters, grown by plain-ident aliasing
 	// (alias := sc) in source order.
@@ -64,14 +64,13 @@ func checkScratchEscapes(pass *Pass, f *File, fd *ast.FuncDecl) {
 			return
 		}
 		for _, field := range fields.List {
-			t := pass.Index.resolveType(field.Type, f, pass.Pkg.Dir)
-			if t == nil || t.kind != kindPointer || t.elem == nil ||
-				t.elem.kind != kindNamed || !scratchTypes[t.elem.name] {
+			key := pass.Index.ptrToKey(pass.Info.TypeOf(field.Type))
+			if !scratchTypes[key] {
 				continue
 			}
 			for _, name := range field.Names {
 				if name.Name != "_" {
-					tracked[name.Name] = t.elem.name
+					tracked[name.Name] = key
 				}
 			}
 		}
@@ -92,7 +91,7 @@ func checkScratchEscapes(pass *Pass, f *File, fd *ast.FuncDecl) {
 		return true
 	})
 	cg := pass.Index.callGraph()
-	cls := &opClassifier{sc: newFuncScope(pass.Index, f, pass.Pkg.Dir, fd), idx: pass.Index, f: f, dir: pass.Pkg.Dir, resolveCalls: true}
+	cls := &opClassifier{idx: pass.Index, info: pass.Info, resolveCalls: true}
 
 	trackedIdent := func(e ast.Expr) (string, string, bool) {
 		for {

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -51,22 +52,16 @@ func isResetFunc(name string) bool {
 
 // isCacheFieldType reports whether a struct field of this type is a
 // reference-slot cache.
-func isCacheFieldType(t *dfType) bool {
-	if t == nil {
-		return false
+func isCacheFieldType(idx *Index, t types.Type) bool {
+	if a, ok := t.(*types.Array); ok {
+		return cacheElemTypes[idx.ptrToKey(a.Elem())]
 	}
-	if t.kind == kindArray && t.elem != nil && t.elem.kind == kindPointer &&
-		t.elem.elem != nil && t.elem.elem.kind == kindNamed && cacheElemTypes[t.elem.elem.name] {
-		return true
-	}
-	return t.kind == kindPointer && t.elem != nil && t.elem.kind == kindNamed &&
-		t.elem.name == "internal/codec/motion.Pyramid"
+	return idx.ptrToKey(t) == "internal/codec/motion.Pyramid"
 }
 
 // chainInfo is what walking an lvalue/rvalue selector-index chain from
 // its root identifier learns.
 type chainInfo struct {
-	t          *dfType    // type of the full expression (nil = unknown)
 	root       *ast.Ident // leftmost identifier, nil if the root is not an ident
 	cacheField bool       // a step accessed a reference-slot cache field
 	crossedPtr bool       // a step dereferenced a pointer or indexed a slice
@@ -75,75 +70,42 @@ type chainInfo struct {
 
 // walkChain resolves e stepwise so each selector/index step can be
 // classified against the cache shapes.
-func walkChain(sc *funcScope, e ast.Expr) chainInfo {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return chainInfo{t: sc.typeOf(x), root: x}
-	case *ast.ParenExpr:
-		return walkChain(sc, x.X)
-	case *ast.SelectorExpr:
-		base := walkChain(sc, x.X)
-		info := base
-		bt := base.t
-		if bt != nil && bt.kind == kindPointer {
+func walkChain(pass *Pass, e ast.Expr) chainInfo {
+	// step classifies one dereference of base, the operand of a
+	// selector, index or star step.
+	step := func(base ast.Expr) chainInfo {
+		info := walkChain(pass, base)
+		bt := pass.Info.TypeOf(base)
+		if bt == nil {
+			return info
+		}
+		switch bt.Underlying().(type) {
+		case *types.Pointer, *types.Slice, *types.Map:
 			info.crossedPtr = true
 		}
-		if bd := bt.deref(); bd != nil && bd.kind == kindNamed && pyramidTypes[bd.name] {
+		if key, _ := pass.Index.namedKey(deref(bt)); pyramidTypes[key] {
 			info.pyramid = true
 		}
-		info.t = sc.idx.fieldType(bt, x.Sel.Name, 0)
-		if isCacheFieldType(info.t) {
+		return info
+	}
+	switch x := e.(type) {
+	case *ast.Ident:
+		return chainInfo{root: x}
+	case *ast.ParenExpr:
+		return walkChain(pass, x.X)
+	case *ast.SelectorExpr:
+		info := step(x.X)
+		if sel := pass.Info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal && isCacheFieldType(pass.Index, sel.Type()) {
 			info.cacheField = true
 		}
 		return info
 	case *ast.IndexExpr:
-		base := walkChain(sc, x.X)
-		info := base
-		bt := base.t
-		if bt != nil && bt.kind == kindPointer {
-			info.crossedPtr = true
-			bt = bt.elem
-		}
-		if bt != nil && bt.kind == kindNamed && pyramidTypes[bt.name] {
-			info.pyramid = true
-		}
-		if bt != nil {
-			switch bt.kind {
-			case kindSlice, kindMap:
-				info.crossedPtr = true
-				info.t = bt.elem
-			case kindArray:
-				info.t = bt.elem
-			default:
-				info.t = nil
-			}
-		} else {
-			info.t = nil
-		}
-		return info
+		return step(x.X)
 	case *ast.StarExpr:
-		base := walkChain(sc, x.X)
-		info := base
-		if base.t != nil && base.t.kind == kindPointer {
-			info.crossedPtr = true
-			info.t = base.t.elem
-			if info.t != nil && info.t.kind == kindNamed && pyramidTypes[info.t.name] {
-				info.pyramid = true
-			}
-		} else {
-			info.t = nil
-		}
-		return info
+		return step(x.X)
 	case *ast.UnaryExpr:
 		if x.Op == token.AND {
-			base := walkChain(sc, x.X)
-			info := base
-			if base.t != nil {
-				info.t = &dfType{kind: kindPointer, elem: base.t}
-			} else {
-				info.t = nil
-			}
-			return info
+			return walkChain(pass, x.X)
 		}
 	}
 	return chainInfo{}
@@ -162,13 +124,13 @@ func runSharedMut(pass *Pass) {
 			if isSetupFunc(fd.Name.Name) || isResetFunc(fd.Name.Name) {
 				continue
 			}
-			checkSharedMut(pass, f, fd)
+			checkSharedMut(pass, fd)
 		}
 	}
 }
 
-func checkSharedMut(pass *Pass, f *File, fd *ast.FuncDecl) {
-	sc := newFuncScope(pass.Index, f, pass.Pkg.Dir, fd)
+func checkSharedMut(pass *Pass, fd *ast.FuncDecl) {
+	fresh := localFreshness(pass.Info, fd)
 
 	// tainted: locals whose value was read out of a cache field, so a
 	// pointer-crossing write through them mutates shared state.
@@ -178,8 +140,8 @@ func checkSharedMut(pass *Pass, f *File, fd *ast.FuncDecl) {
 		if _, plain := lhs.(*ast.Ident); plain {
 			return // rebinding a local is never a cache write
 		}
-		info := walkChain(sc, lhs)
-		if info.root != nil && sc.isFresh(info.root.Name) {
+		info := walkChain(pass, lhs)
+		if info.root != nil && fresh[pass.Info.ObjectOf(info.root)] {
 			return // value constructed in this function: not shared yet
 		}
 		switch {
@@ -211,7 +173,7 @@ func checkSharedMut(pass *Pass, f *File, fd *ast.FuncDecl) {
 				if !isIdent || i >= len(st.Rhs) {
 					continue
 				}
-				rhs := walkChain(sc, st.Rhs[i])
+				rhs := walkChain(pass, st.Rhs[i])
 				if rhs.cacheField {
 					tainted[id.Name] = true
 				}
@@ -221,4 +183,86 @@ func checkSharedMut(pass *Pass, f *File, fd *ast.FuncDecl) {
 		}
 		return true
 	})
+}
+
+// localFreshness records which locals of fd hold a value constructed
+// inside it: a composite literal, &composite, make/new, a call to a
+// constructor-named function (New*/Build*/Make*/Alloc*/Clone*, setup
+// prefixes), or a local already fresh at that point in source order.
+// A local stays fresh only if every assignment to it is; parameters,
+// receivers and results never are.
+func localFreshness(info *types.Info, fd *ast.FuncDecl) map[types.Object]bool {
+	fresh := map[types.Object]bool{}
+	seen := map[types.Object]bool{}
+	set := func(id *ast.Ident, isFresh bool) {
+		obj := info.ObjectOf(id)
+		if seen[obj] {
+			isFresh = isFresh && fresh[obj]
+		}
+		seen[obj] = true
+		fresh[obj] = isFresh
+	}
+	var freshExpr func(e ast.Expr) bool
+	freshExpr = func(e ast.Expr) bool {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.CompositeLit:
+			return true
+		case *ast.UnaryExpr:
+			_, lit := x.X.(*ast.CompositeLit)
+			return x.Op == token.AND && lit
+		case *ast.CallExpr:
+			name := ""
+			switch fn := x.Fun.(type) {
+			case *ast.Ident:
+				name = fn.Name
+			case *ast.SelectorExpr:
+				name = fn.Sel.Name
+			}
+			return name == "make" || name == "new" || isSetupFunc(name) ||
+				strings.HasPrefix(name, "Clone") || strings.HasPrefix(name, "clone")
+		case *ast.Ident:
+			return fresh[info.ObjectOf(x)]
+		}
+		return false
+	}
+	for _, fields := range []*ast.FieldList{fd.Recv, fd.Type.Params, fd.Type.Results} {
+		if fields != nil {
+			for _, field := range fields.List {
+				for _, name := range field.Names {
+					set(name, false)
+				}
+			}
+		}
+	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch st := n.(type) {
+		case *ast.AssignStmt:
+			if st.Tok != token.DEFINE && st.Tok != token.ASSIGN {
+				return true // compound assignment: origin unchanged
+			}
+			for i, lhs := range st.Lhs {
+				id, ok := lhs.(*ast.Ident)
+				if !ok {
+					continue
+				}
+				if len(st.Rhs) == 1 {
+					set(id, freshExpr(st.Rhs[0])) // x := f() and x, err := f()
+				} else {
+					set(id, freshExpr(st.Rhs[i]))
+				}
+			}
+		case *ast.RangeStmt:
+			for _, e := range []ast.Expr{st.Key, st.Value} {
+				if id, ok := e.(*ast.Ident); ok {
+					set(id, false)
+				}
+			}
+		case *ast.ValueSpec:
+			for i, name := range st.Names {
+				set(name, i < len(st.Values) && freshExpr(st.Values[i]))
+			}
+		}
+		return true
+	})
+	return fresh
 }

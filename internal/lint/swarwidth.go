@@ -3,7 +3,10 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/token"
+	"go/types"
+	"strings"
 )
 
 // swarDirs are the packages doing uint64 lane arithmetic (SWAR pixel
@@ -41,7 +44,7 @@ func runSwarWidth(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkSwarWidth(pass, f, fd)
+			checkSwarWidth(pass, fd)
 		}
 	}
 }
@@ -60,9 +63,8 @@ func lanePeriodic(v uint64) bool {
 	return v == (v&0xffffffff)*0x0000000100000001
 }
 
-func checkSwarWidth(pass *Pass, f *File, fd *ast.FuncDecl) {
-	sc := newFuncScope(pass.Index, f, pass.Pkg.Dir, fd)
-	idx := pass.Index
+func checkSwarWidth(pass *Pass, fd *ast.FuncDecl) {
+	info := pass.Info
 
 	// accumulated: bare locals built up with compound assignment —
 	// the lane accumulators whose narrowing loses carries.
@@ -83,38 +85,26 @@ func checkSwarWidth(pass *Pass, f *File, fd *ast.FuncDecl) {
 		return true
 	})
 
-	// wideHexConst resolves e to a 64-bit lane-mask constant: either a
-	// 16-hex-digit literal or a reference to a const declared with one.
-	wideHexConst := func(e ast.Expr) (uint64, bool) {
-		switch x := e.(type) {
-		case *ast.BasicLit:
-			c, ok := idx.evalConst(x, f, pass.Pkg.Dir, 0)
-			return uint64(c.val), ok && c.wideHex
-		case *ast.Ident, *ast.SelectorExpr:
-			c, ok := idx.evalConst(e, f, pass.Pkg.Dir, 0)
-			return uint64(c.val), ok && c.wideHex
-		}
-		return 0, false
-	}
-
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.BinaryExpr:
 			switch x.Op {
 			case token.SHL, token.SHR:
-				count, ok := idx.constIntValue(x.Y, f, pass.Pkg.Dir)
-				if !ok {
-					return true
+				count := info.Types[x.Y].Value
+				if count == nil || info.Types[x.X].Value != nil {
+					return true // variable count, or a constant the compiler folds
 				}
-				w, _, okW := idx.intInfo(sc.typeOf(x.X), 0)
-				if okW && count >= int64(w) {
+				c, exact := constant.Int64Val(constant.ToInt(count))
+				w, _, okW := intInfo(info.TypeOf(x.X))
+				if exact && okW && c >= int64(w) {
 					pass.Reportf(x.Pos(),
 						"shift count %d >= bit width %d of %s; the result is always zero",
-						count, w, exprString(x.X))
+						c, w, exprString(x.X))
 				}
 			case token.AND, token.OR, token.XOR, token.AND_NOT:
 				for _, op := range []ast.Expr{x.X, x.Y} {
-					if v, ok := wideHexConst(op); ok && !lanePeriodic(v) {
+					v, exact := constant.Uint64Val(constant.ToInt(info.Types[op].Value))
+					if exact && writtenWideHex(pass.Index, info, op, 0) && !lanePeriodic(v) {
 						pass.Reportf(op.Pos(),
 							"64-bit mask %#016x is not byte/16/32-bit lane-periodic; it does not cover an even lane layout",
 							v)
@@ -123,31 +113,15 @@ func checkSwarWidth(pass *Pass, f *File, fd *ast.FuncDecl) {
 			}
 		case *ast.CallExpr:
 			// Conversion of a bare accumulator: T(acc).
-			if len(x.Args) != 1 {
+			if len(x.Args) != 1 || !info.Types[x.Fun].IsType() {
 				return true
 			}
 			arg, ok := x.Args[0].(*ast.Ident)
 			if !ok || !accumulated[arg.Name] {
 				return true
 			}
-			var target *dfType
-			switch fn := x.Fun.(type) {
-			case *ast.Ident:
-				if _, isInt := basicInts[fn.Name]; isInt {
-					target = basicType(fn.Name)
-				} else if t := idx.resolveType(fn, f, pass.Pkg.Dir); t != nil && t.kind == kindNamed {
-					target = t
-				}
-			case *ast.SelectorExpr:
-				if t := idx.resolveType(fn, f, pass.Pkg.Dir); t != nil && t.kind == kindNamed {
-					target = t
-				}
-			}
-			if target == nil {
-				return true
-			}
-			wT, uT, okT := idx.intInfo(target, 0)
-			wX, uX, okX := idx.intInfo(sc.typeOf(arg), 0)
+			wT, uT, okT := intInfo(info.Types[x.Fun].Type)
+			wX, uX, okX := intInfo(info.TypeOf(arg))
 			if !okT || !okX {
 				return true
 			}
@@ -163,6 +137,54 @@ func checkSwarWidth(pass *Pass, f *File, fd *ast.FuncDecl) {
 		}
 		return true
 	})
+}
+
+// intInfo reports the bit width and signedness of a typed integer type.
+func intInfo(t types.Type) (width int, unsigned bool, ok bool) {
+	bi := basicInfo(t)
+	if bi&types.IsInteger == 0 || bi&types.IsUntyped != 0 {
+		return 0, false, false
+	}
+	return int(gcSizes.Sizeof(t)) * 8, bi&types.IsUnsigned != 0, true
+}
+
+// writtenWideHex reports whether e is spelled as a 16-hex-digit literal
+// (a 64-bit lane mask), directly or through module constants declared
+// as one.
+func writtenWideHex(idx *Index, info *types.Info, e ast.Expr, depth int) bool {
+	var id *ast.Ident
+	switch x := ast.Unparen(e).(type) {
+	case *ast.BasicLit:
+		digits, hex := strings.CutPrefix(strings.ToLower(x.Value), "0x")
+		return x.Kind == token.INT && hex && len(strings.ReplaceAll(digits, "_", "")) == 16
+	case *ast.Ident:
+		id = x
+	case *ast.SelectorExpr:
+		id = x.Sel
+	}
+	c, ok := info.Uses[id].(*types.Const)
+	if !ok || depth > 8 {
+		return false
+	}
+	if p := idx.byTypes[c.Pkg()]; p != nil {
+		for _, f := range p.Files {
+			for _, decl := range f.AST.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok || gd.Tok != token.CONST {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					vs := spec.(*ast.ValueSpec)
+					for i, name := range vs.Names {
+						if name.Pos() == c.Pos() && i < len(vs.Values) {
+							return writtenWideHex(idx, p.Info, vs.Values[i], depth+1)
+						}
+					}
+				}
+			}
+		}
+	}
+	return false
 }
 
 // convName renders a conversion target for messages.

@@ -87,3 +87,24 @@ func suppressedTruncation(pix []uint8) uint32 {
 	//lint:ignore swarwidth fixture accepted narrowing, accumulator is bounded by len(pix)*255
 	return uint32(acc)
 }
+
+const (
+	lane0 = iota * 16
+	lane1
+	lane2
+	lane3
+	laneEnd // 64: one past the last 16-bit lane
+)
+
+func shiftByIotaConst(x uint64) uint64 {
+	return x >> laneEnd // want "shift count 64 >= bit width 64 of x"
+}
+
+// shadowedWidth shifts the closure's own 32-bit x, not the outer
+// 64-bit one.
+func shadowedWidth(x uint64) uint32 {
+	f := func(x uint32) uint32 {
+		return x >> 32 // want "shift count 32 >= bit width 32 of x"
+	}
+	return f(uint32(x))
+}

@@ -75,3 +75,21 @@ func suppressed() time.Time {
 func printNow() {
 	fmt.Println("not a time call")
 }
+
+// mapFromCall ranges over a map it did not declare: the operand's type,
+// not its spelling, makes it a map.
+func mapFromCall(src func() map[string]int) []string {
+	var out []string
+	for k := range src() { // want "map iteration order leaks into an ordered result"
+		out = append(out, k)
+	}
+	return out
+}
+
+type tally struct{ total float64 }
+
+func mapFloatField(m map[string]float64, t *tally) {
+	for _, v := range m { // want "map iteration order leaks into an ordered result"
+		t.total += v
+	}
+}

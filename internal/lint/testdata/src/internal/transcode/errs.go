@@ -65,3 +65,13 @@ func suppressedDrop() {
 	//lint:ignore errdrop fixture demonstrates an accepted best-effort flush
 	flushIndex()
 }
+
+// journal's Close returns an error while queue's does not: the
+// callee's signature decides, not the shared name.
+type journal struct{}
+
+func (j *journal) Close() error { return nil }
+
+func journalDrop(j *journal) {
+	j.Close() // want "error result of j.Close is silently dropped"
+}

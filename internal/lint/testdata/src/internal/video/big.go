@@ -53,3 +53,16 @@ func bigArray(a [512]uint8) int { // want "parameter uint8 array copies"
 func suppressedCopy(b BigBlock) int {
 	return int(b.Pix[0])
 }
+
+// PaddedRow's fields sum to 180 bytes, but each bool is padded to its
+// int64 neighbour's alignment: the value is 320 bytes.
+type PaddedRow struct {
+	Cells [20]struct {
+		On bool
+		V  int64
+	}
+}
+
+func rowSum(r PaddedRow) int64 { // want "parameter PaddedRow copies ~320 bytes"
+	return r.Cells[0].V
+}

@@ -37,17 +37,16 @@ func runWaitBalance(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			wb := &waitBalance{pass: pass, f: f, fd: fd}
+			wb := &waitBalance{pass: pass, fd: fd}
 			wb.check()
 		}
 	}
 }
 
-// isWaitGroupExpr reports whether e resolves to (a pointer to)
-// sync.WaitGroup in the scope.
-func isWaitGroupExpr(sc *funcScope, e ast.Expr) bool {
-	t := sc.typeOf(e).deref()
-	return t != nil && t.kind == kindNamed && t.name == "sync.WaitGroup"
+// isWaitGroupExpr reports whether e is (a pointer to) sync.WaitGroup.
+func (wb *waitBalance) isWaitGroupExpr(e ast.Expr) bool {
+	key, _ := wb.pass.Index.namedKey(deref(wb.pass.Info.TypeOf(e)))
+	return key == "sync.WaitGroup"
 }
 
 // wbSpawn is one go statement in the function under check.
@@ -62,10 +61,8 @@ type wbSpawn struct {
 // waitBalance carries the per-function state of one check.
 type waitBalance struct {
 	pass *Pass
-	f    *File
 	fd   *ast.FuncDecl
 
-	sc     *funcScope
 	outerG *cfg
 	// waited: canonical receivers this function Waits on (anywhere,
 	// literals included — Wait in a cleanup closure still gates).
@@ -78,8 +75,7 @@ type waitBalance struct {
 }
 
 func (wb *waitBalance) check() {
-	fd, pass := wb.fd, wb.pass
-	wb.sc = newFuncScope(pass.Index, wb.f, pass.Pkg.Dir, fd)
+	fd := wb.fd
 	wb.waited = map[string]bool{}
 	var spawns []wbSpawn
 	var lits []*ast.FuncLit
@@ -205,7 +201,7 @@ func (wb *waitBalance) checkSpawnedLiteral(s wbSpawn, lit *ast.FuncLit) {
 
 	litG := buildCFG(lit.Body)
 	for _, recv := range recvs {
-		if !wb.waited[recv] && !isWaitGroupExpr(wb.sc, recvExprs[recv]) {
+		if !wb.waited[recv] && !wb.isWaitGroupExpr(recvExprs[recv]) {
 			continue
 		}
 		// Add inside the spawned body races the Wait that balances it.
@@ -243,33 +239,12 @@ func (wb *waitBalance) checkSpawnedLiteral(s wbSpawn, lit *ast.FuncLit) {
 // of the helper, and must not be Add'ed inside it.
 func (wb *waitBalance) checkSpawnedHelper(s wbSpawn) {
 	g := s.g
-	c := &opClassifier{sc: wb.sc, idx: wb.pass.Index, f: wb.f, dir: wb.pass.Pkg.Dir, resolveCalls: true}
-	key := c.calleeKey(g.Call)
-	if key == "" {
-		return
-	}
+	key := wb.pass.Index.funcKey(callee(wb.pass.Info, g.Call))
 	sum := wb.pass.Index.callGraph().summaries[key]
-	if sum == nil || len(sum.wgParams) == 0 {
-		return
-	}
 	// Positional arg->param mapping requires an exact match: variadic
 	// helpers or spread calls degrade to silence.
-	if g.Call.Ellipsis != token.NoPos {
-		return
-	}
-	nParams := 0
-	variadic := false
-	for _, field := range sum.fd.decl.Type.Params.List {
-		if _, ok := field.Type.(*ast.Ellipsis); ok {
-			variadic = true
-		}
-		n := len(field.Names)
-		if n == 0 {
-			n = 1
-		}
-		nParams += n
-	}
-	if variadic || nParams != len(g.Call.Args) {
+	if sum == nil || len(sum.wgParams) == 0 || g.Call.Ellipsis != token.NoPos ||
+		sum.variadic || sum.paramCount != len(g.Call.Args) {
 		return
 	}
 	positions := make([]int, 0, len(sum.wgParams))
@@ -286,7 +261,7 @@ func (wb *waitBalance) checkSpawnedHelper(s wbSpawn) {
 		if recv == "" {
 			continue
 		}
-		if !wb.waited[recv] && !isWaitGroupExpr(wb.sc, arg) {
+		if !wb.waited[recv] && !wb.isWaitGroupExpr(arg) {
 			continue
 		}
 		fact := sum.wgParams[pi]

@@ -4,17 +4,19 @@
 # Runs, in order:
 #   1. gofmt         formatting drift fails the gate
 #   2. go vet        toolchain static checks
-#   3. vculint       project-specific analyzers (internal/lint):
-#                    determinism, hotalloc, errdrop, bigcopy, the
-#                    dataflow rules scratchshare, sharedmut, swarwidth,
-#                    goleak, the CFG/call-graph rules lockhygiene,
-#                    lockorder, waitbalance, heldblock, and the
-#                    transitive-summary rules closecheck, parcapture;
-#                    packages are analyzed in parallel (-par 0 =
-#                    GOMAXPROCS) with deterministic output; the JSON
-#                    report (with per-rule and summary-build timing) is
-#                    written to lint_report.json either way, and the
-#                    suite must finish inside its wall-time budget
+#   3. vculint       project-specific analyzers (internal/lint) on
+#                    go/types information for every package, test files
+#                    included (a type error is a "typecheck" finding):
+#                    determinism, hotalloc, errdrop, bigcopy,
+#                    scratchshare, sharedmut, swarwidth, goleak, the
+#                    CFG/call-graph rules lockhygiene, lockorder,
+#                    waitbalance, heldblock, and the transitive-summary
+#                    rules closecheck, parcapture; packages are analyzed
+#                    in parallel (-par 0 = GOMAXPROCS) with
+#                    deterministic output; the JSON report (with load,
+#                    per-rule and summary-build timing) is written to
+#                    lint_report.json either way, and the suite must
+#                    finish inside its wall-time budget
 #   4. go build      the whole module
 #   5. go test       the whole module
 #   6. go test -race the concurrent packages
@@ -29,21 +31,35 @@
 #                    fewer escapes, zero false convictions, bounded
 #                    recall, byte-identical stats
 #  10. bench smoke   kernel benchmarks compile and run (1 iteration)
-#  11. fuzz smoke    10s of FuzzDecode over the checked-in corpus
+#  11. fuzz smoke    10s of FuzzDecode and 10s of FuzzOpenIndexed
+#                    (the container index parser) over their
+#                    checked-in corpora
 #
-# Every PR must leave this script exiting 0.
+# Each step's wall time is printed after it, and a summary with the
+# gate total at the end. Every PR must leave this script exiting 0.
 set -u
 
 cd "$(dirname "$0")/.."
 
 failures=0
+timings=()
+gate_start=$EPOCHREALTIME
+# elapsed prints the seconds since a $EPOCHREALTIME reading.
+elapsed() {
+    awk -v a="$1" -v b="$EPOCHREALTIME" 'BEGIN { printf "%.1f", b - a }'
+}
 step() {
-    echo "== $1"
+    local name=$1 start=$EPOCHREALTIME
     shift
+    echo "== $name"
     if ! "$@"; then
-        echo "-- FAILED: $1" >&2
+        echo "-- FAILED: $name" >&2
         failures=$((failures + 1))
     fi
+    local secs
+    secs=$(elapsed "$start")
+    echo "-- ${secs}s: $name"
+    timings+=("$(printf '%8ss  %s' "$secs" "$name")")
 }
 
 check_fmt() {
@@ -80,7 +96,7 @@ check_lint() {
     fi
 }
 
-RACE_PKGS="./internal/sched ./internal/transcode ./internal/cluster ./internal/codec ./internal/video"
+RACE_PKGS="./internal/sched ./internal/transcode ./internal/cluster ./internal/codec ./internal/video ./internal/lint ./internal/vcu"
 
 step "gofmt" check_fmt
 step "go vet" go vet ./...
@@ -114,6 +130,14 @@ step "bench smoke (kernel packages)" go test -run=NONE -bench=. -benchtime=1x \
 # checked-in corpus (testdata/fuzz/FuzzDecode). Catches decoder panics
 # and decoder-bomb regressions; `go test` alone only replays the corpus.
 step "fuzz smoke (codec decoder)" go test -fuzz=FuzzDecode -fuzztime=10s -run=NONE ./internal/codec
+# Container fuzz smoke: the chunk-index parser (OpenIndexed, then every
+# chunk read) over testdata/fuzz/FuzzOpenIndexed. `make fuzz` also runs
+# FuzzReadAll, the sequential parser.
+step "fuzz smoke (container index)" go test -fuzz=FuzzOpenIndexed -fuzztime=10s -run=NONE ./internal/container
+
+echo "== step wall times"
+printf '%s\n' "${timings[@]}"
+printf '%8ss  %s\n' "$(elapsed "$gate_start")" "gate total"
 
 if [ "$failures" -ne 0 ]; then
     echo "check.sh: $failures step(s) failed" >&2
